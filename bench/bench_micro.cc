@@ -43,6 +43,13 @@ vlbench::BenchEnv* Env() {
   return env;
 }
 
+// A fresh kernel for one guard, booted like Env()'s. The BM_* loops churn
+// Env()'s slab and RCU state, so a guard on the shared kernel would measure
+// whatever ran before it.
+std::unique_ptr<vlbench::BenchEnv> GuardEnv() {
+  return std::make_unique<vlbench::BenchEnv>(60, dbg::LatencyModel::Free());
+}
+
 void BM_MapleStoreErase(benchmark::State& state) {
   vlbench::BenchEnv* env = Env();
   vkern::maple_tree tree;
@@ -318,7 +325,7 @@ int CheckTracingOverhead() {
 // virtual transport time cached than uncached. Returns 0 on success.
 int CheckCacheSpeedup() {
   constexpr int kRefreshes = 3;
-  vlbench::BenchEnv* env = Env();
+  auto env = GuardEnv();
   const vision::FigureDef* figure = vision::FindFigure("fig7_1");
 
   dbg::KernelDebugger cached(env->kernel.get(), dbg::LatencyModel::KgdbRpi400());
@@ -369,7 +376,7 @@ int CheckCacheSpeedup() {
 // (the plan is a prefetch oracle, never a semantic shortcut). Returns 0 on
 // success.
 int CheckPlanSpeedup() {
-  vlbench::BenchEnv* env = Env();
+  auto env = GuardEnv();
   const vision::FigureDef* figure = vision::FindFigure("fig3_6");
 
   dbg::KernelDebugger classic(env->kernel.get(), dbg::LatencyModel::GdbQemu());
@@ -422,7 +429,7 @@ int CheckIncrementalSpeedup() {
   // plus mm/VFS panes whose pages stay clean between refreshes.
   const char* kFigures[] = {"fig3_4", "fig7_1", "fig8_2",
                             "fig12_3", "fig14_3", "fig15_1"};
-  vlbench::BenchEnv* env = Env();
+  auto env = GuardEnv();
 
   dbg::KernelDebugger full(env->kernel.get(), dbg::LatencyModel::GdbQemu());
   dbg::KernelDebugger delta(env->kernel.get(), dbg::LatencyModel::GdbQemu(),
@@ -492,7 +499,7 @@ int CheckIncrementalSpeedup() {
 // violation-free, so the speedup never comes from skipping a dirty rule.
 int CheckInvariantSweepSpeedup() {
   constexpr int kRounds = 3;
-  vlbench::BenchEnv* env = Env();
+  auto env = GuardEnv();
 
   dbg::KernelDebugger full(env->kernel.get(), dbg::LatencyModel::GdbQemu());
   // Constructed second: the delta session's dirty-page journal baselines at
@@ -554,7 +561,7 @@ int CheckDisabledObservabilityOverhead() {
   // timing noise is one-sided, so best-of-N converges to the true floor.
   constexpr int kTrials = 40;
   constexpr int kIters = 400;
-  vlbench::BenchEnv* env = Env();
+  auto env = GuardEnv();
   const vision::FigureDef* figure = vision::FindFigure("fig7_1");
 
   // One manager, one graph: attaching/detaching the observers between trials

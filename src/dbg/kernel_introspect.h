@@ -58,8 +58,9 @@ class KernelDebugger {
     // The kernel bumps its generation on every mutation entry point; caching
     // sessions invalidate when this moves.
     uint64_t generation() const override;
-    // Dirty-page log over the arena, backed by a lazily built PageJournal so
-    // sessions that never query it pay no hashing cost.
+    // Dirty-page log over the arena, backed by a lazily built PageJournal:
+    // sessions that never query it pay no hashing cost, and the arena's
+    // write log stays unarmed until the first query.
     DirtyPageInfo DirtyPagesSince(uint64_t since_generation) const override;
 
    private:

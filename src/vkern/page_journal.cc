@@ -8,7 +8,7 @@ namespace {
 
 // SplitMix64 finalizer (same constants as vl::Rng) folded over the page's
 // 64-bit words: deterministic, seed-free, and cheap enough to hash the whole
-// arena in one pass.
+// arena in one pass at attach.
 inline uint64_t Mix(uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
@@ -27,8 +27,12 @@ uint64_t HashPage(const uint8_t* page) {
 
 }  // namespace
 
-PageJournal::PageJournal(const Arena* arena, uint64_t generation)
-    : arena_(arena), scanned_gen_(generation) {
+PageJournal::PageJournal(Arena* arena, uint64_t generation)
+    : arena_(arena),
+      scanned_gen_(generation),
+      logged_(arena->ArmWriteLog()),
+      cursor_(arena->write_seq()) {
+  // Armed before hashing: a write after this point is in the write log.
   size_t pages = arena_->size() / kPageSize;  // arena size is page-aligned
   hashes_.resize(pages);
   last_changed_.assign(pages, generation);
@@ -40,17 +44,28 @@ PageJournal::PageJournal(const Arena* arena, uint64_t generation)
 }
 
 void PageJournal::Rescan(uint64_t current_generation) {
-  const uint8_t* base = arena_->base();
-  for (size_t p = 0; p < hashes_.size(); ++p) {
-    uint64_t h = HashPage(base + p * kPageSize);
+  uint64_t seq = 0;
+  logged_ = logged_ && arena_->CollectWrites(&seq);
+  auto rehash = [&](size_t p) {
+    uint64_t h = HashPage(arena_->base() + p * kPageSize);
     if (h != hashes_[p]) {
       hashes_[p] = h;
       last_changed_[p] = current_generation;
     }
+    pages_hashed_++;
+  };
+  if (logged_) {
+    for (uint32_t p : arena_->PagesWrittenSince(cursor_)) {
+      rehash(p);
+    }
+  } else {
+    for (size_t p = 0; p < hashes_.size(); ++p) {
+      rehash(p);
+    }
   }
+  cursor_ = seq;
   scanned_gen_ = current_generation;
   scans_++;
-  pages_hashed_ += hashes_.size();
 }
 
 std::vector<uint32_t> PageJournal::DirtyPagesSince(uint64_t since_generation,

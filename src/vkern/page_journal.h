@@ -2,14 +2,15 @@
 // incremental refresh (docs/caching.md#incremental-invalidation).
 //
 // QEMU's live-migration dirty log flags guest pages written since the last
-// sync; debuggers can query it instead of re-reading everything. The
-// simulated kernel has no write interception, so we model the same contract
-// with lazy per-page checksums: a scan hashes every 4 KiB page at most once
-// per generation and stamps pages whose hash moved with the scanning
-// generation. Writes that landed between two scans are attributed to the
-// later scan's generation — conservative (a page is never reported clean
-// while holding unseen writes), which is exactly what cache invalidation
-// and memoization need.
+// sync; debuggers can query it instead of re-reading everything. The journal
+// keeps a content hash per 4 KiB page and, at most once per generation,
+// rehashes the pages the arena's write log (arena.h) saw written since its
+// previous scan, stamping pages whose hash moved with the scanning
+// generation. Where the write log is unavailable it rehashes every page; the
+// answers are the same either way. Writes that landed between two scans are
+// attributed to the later scan's generation — conservative (a page is never
+// reported clean while holding unseen writes), which is exactly what cache
+// invalidation and memoization need.
 
 #ifndef SRC_VKERN_PAGE_JOURNAL_H_
 #define SRC_VKERN_PAGE_JOURNAL_H_
@@ -24,10 +25,11 @@ namespace vkern {
 
 class PageJournal {
  public:
-  // Baselines every page's hash at `generation`. Every page starts marked
-  // "changed at `generation`", so a first query against an older epoch
-  // degenerates to all-dirty (safe) rather than all-clean (wrong).
-  PageJournal(const Arena* arena, uint64_t generation);
+  // Arms the arena's write log, then baselines every page's hash at
+  // `generation`. Every page starts marked "changed at `generation`", so a
+  // first query against an older epoch degenerates to all-dirty (safe)
+  // rather than all-clean (wrong).
+  PageJournal(Arena* arena, uint64_t generation);
 
   PageJournal(const PageJournal&) = delete;
   PageJournal& operator=(const PageJournal&) = delete;
@@ -47,15 +49,20 @@ class PageJournal {
   // generation if it never changed under this journal).
   uint64_t last_changed(size_t page) const { return last_changed_[page]; }
 
-  // Host-side scan work: full-arena scans run and pages hashed in total.
+  // Host-side scan work: scans run (the attach baseline counts as one) and
+  // pages hashed in total (the baseline hashes every page; a rescan hashes
+  // the pages written since the previous scan, or every page where the
+  // write log is unavailable).
   uint64_t scans() const { return scans_; }
   uint64_t pages_hashed() const { return pages_hashed_; }
 
  private:
   void Rescan(uint64_t current_generation);
 
-  const Arena* arena_;
+  Arena* arena_;
   uint64_t scanned_gen_;
+  bool logged_;      // rescans may trust the arena's write log
+  uint64_t cursor_;  // the write log's sequence number at the last scan
   std::vector<uint64_t> hashes_;        // per-page content hash
   std::vector<uint64_t> last_changed_;  // per-page last-changed generation
   uint64_t scans_ = 0;

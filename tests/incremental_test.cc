@@ -6,15 +6,19 @@
 // figure, across epoch skew.
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <csignal>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/dbg/kernel_introspect.h"
 #include "src/dbg/read_session.h"
 #include "src/dbg/target.h"
+#include "src/support/rng.h"
 #include "src/viewcl/interp.h"
 #include "src/vision/figures.h"
 #include "src/vision/panes.h"
@@ -65,6 +69,258 @@ TEST(PageJournalTest, RescansLazilyOncePerGeneration) {
   EXPECT_EQ(journal.scans(), scans_after_attach + 1);
   (void)journal.DirtyPagesSince(attach_gen, kernel.generation());
   EXPECT_EQ(journal.scans(), scans_after_attach + 1);
+}
+
+// --- the journal against an independent oracle ------------------------------
+
+// The journal's contract computed the slow way, sharing no code with the
+// journal or the arena's write log: a byte snapshot of the arena as of the
+// previous query, compared page by page at the next query that sees a new
+// generation. A page that differs is stamped with that generation.
+class SnapshotOracle {
+ public:
+  SnapshotOracle(const vkern::Arena& arena, uint64_t generation)
+      : arena_(arena),
+        snapshot_(arena.base(), arena.base() + arena.size()),
+        last_changed_(arena.size() / kPage, generation),
+        synced_gen_(generation) {}
+
+  std::vector<uint32_t> DirtyPagesSince(uint64_t since_generation, uint64_t current_generation) {
+    if (current_generation != synced_gen_) {
+      for (size_t p = 0; p < last_changed_.size(); ++p) {
+        uint8_t* then = snapshot_.data() + p * kPage;
+        const uint8_t* now = arena_.base() + p * kPage;
+        if (std::memcmp(then, now, kPage) != 0) {
+          std::memcpy(then, now, kPage);
+          last_changed_[p] = current_generation;
+        }
+      }
+      synced_gen_ = current_generation;
+    }
+    std::vector<uint32_t> dirty;
+    for (size_t p = 0; p < last_changed_.size(); ++p) {
+      if (last_changed_[p] > since_generation) {
+        dirty.push_back(static_cast<uint32_t>(p));
+      }
+    }
+    return dirty;
+  }
+
+ private:
+  const vkern::Arena& arena_;
+  std::vector<uint8_t> snapshot_;
+  std::vector<uint64_t> last_changed_;
+  uint64_t synced_gen_;
+};
+
+// A journal and its oracle, attached to a kernel at the same generation.
+struct OracleJournal {
+  explicit OracleJournal(vkern::Kernel* kernel)
+      : kernel(kernel),
+        attach_gen(kernel->generation()),
+        journal(&kernel->arena(), attach_gen),
+        oracle(kernel->arena(), attach_gen) {}
+
+  // Compares the dirty sets against every earlier generation.
+  ::testing::AssertionResult MatchesOracle() {
+    uint64_t now = kernel->generation();
+    for (uint64_t since = attach_gen - 1; since <= now; ++since) {
+      std::vector<uint32_t> got = journal.DirtyPagesSince(since, now);
+      std::vector<uint32_t> want = oracle.DirtyPagesSince(since, now);
+      if (got != want) {
+        return ::testing::AssertionFailure()
+               << "generation " << now << ", since " << since << ": journal reports "
+               << got.size() << " dirty pages, oracle " << want.size();
+      }
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+  vkern::Kernel* kernel;
+  uint64_t attach_gen;
+  vkern::PageJournal journal;
+  SnapshotOracle oracle;
+};
+
+// A small kernel driven by a seeded random mix of CPU ticks, workload steps,
+// queued mm_percpu_wq work and raw pokes. Pokes that change a byte land in
+// pages the test took from the buddy allocator, so the kernel never reads
+// them; same-value rewrites land anywhere. Half the pokes hit the last 16
+// bytes of an arena page, which sit on the next host page.
+class KernelMutator {
+ public:
+  explicit KernelMutator(uint64_t seed) : rng_(seed) {
+    vkern::KernelConfig config;
+    config.arena_bytes = 16ull << 20;
+    config.seed = seed;
+    kernel_ = std::make_unique<vkern::Kernel>(config);
+    vkern::WorkloadConfig workload_config;
+    workload_config.steps = 4;
+    workload_config.seed = seed;
+    workload_ = std::make_unique<vkern::Workload>(kernel_.get(), workload_config);
+    workload_->Run();
+    constexpr int kOrder = 2;
+    uint64_t spare = reinterpret_cast<uint64_t>(
+        kernel_->buddy().PageAddress(kernel_->buddy().AllocPages(kOrder)));
+    uint64_t base = kernel_->arena().base_addr();
+    first_spare_page_ = (spare - base + kPage - 1) / kPage;
+    end_spare_page_ = (spare + (kPage << kOrder) - base) / kPage;
+  }
+
+  vkern::Kernel* kernel() { return kernel_.get(); }
+
+  void Step() {
+    int cpu = static_cast<int>(rng_.NextBelow(vkern::kNrCpus));
+    switch (rng_.NextBelow(6)) {
+      case 0:
+        kernel_->TickCpu(cpu);
+        break;
+      case 1:
+        workload_->Step();
+        break;
+      case 2:
+        kernel_->QueueMmPercpuWork(cpu);
+        break;
+      case 3:
+        Poke(rng_.NextInRange(first_spare_page_, end_spare_page_ - 1), /*change=*/true);
+        kernel_->BumpGeneration();
+        break;
+      case 4:
+        Poke(rng_.NextBelow(kernel_->arena().size() / kPage), /*change=*/false);
+        kernel_->BumpGeneration();
+        break;
+      default:
+        // No bump: the next scan attributes the write to a later generation.
+        Poke(rng_.NextInRange(first_spare_page_, end_spare_page_ - 1), /*change=*/true);
+        break;
+    }
+  }
+
+ private:
+  void Poke(uint64_t page, bool change) {
+    uint64_t offset = rng_.NextChance(1, 2) ? kPage - 16 + rng_.NextBelow(16)
+                                            : rng_.NextBelow(kPage - 16);
+    volatile uint8_t* byte = kernel_->arena().base() + page * kPage + offset;
+    uint8_t value = *byte;
+    *byte = change ? static_cast<uint8_t>(value + 1 + rng_.NextBelow(255)) : value;
+  }
+
+  vl::Rng rng_;
+  std::unique_ptr<vkern::Kernel> kernel_;
+  std::unique_ptr<vkern::Workload> workload_;
+  uint64_t first_spare_page_ = 0;
+  uint64_t end_spare_page_ = 0;
+};
+
+// After every step, every journal answers exactly as the oracle does, for
+// every earlier generation: one attached before the sequence, one attached
+// mid-sequence and queried every other step, while short-lived journals come
+// and go — some only baselining (vbench's probe), some collecting the write
+// log before the others query it.
+TEST(PageJournalTest, MatchesSnapshotOracleOverRandomMutations) {
+  constexpr int kSteps = 60;
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    KernelMutator mutator(seed);
+    vkern::Kernel* kernel = mutator.kernel();
+    OracleJournal first(kernel);
+    std::unique_ptr<OracleJournal> second;
+    for (int step = 0; step < kSteps; ++step) {
+      std::optional<vkern::PageJournal> probe;
+      if (step % 3 != 0) {
+        probe.emplace(&kernel->arena(), kernel->generation());
+      }
+      uint64_t before = kernel->generation();
+      mutator.Step();
+      if (probe && step % 3 == 1) {
+        (void)probe->DirtyPagesSince(before, kernel->generation());
+      }
+      probe.reset();
+      if (step == kSteps / 3) {
+        second = std::make_unique<OracleJournal>(kernel);
+      }
+      ASSERT_TRUE(first.MatchesOracle()) << "step " << step;
+      if (second != nullptr && step % 2 == 0) {
+        ASSERT_TRUE(second->MatchesOracle()) << "step " << step;
+      }
+    }
+    // The write log did the work: rescans hashed only a fraction of the arena.
+    const vkern::PageJournal& journal = first.journal;
+    EXPECT_LT(journal.pages_hashed() - journal.page_count(),
+              (journal.scans() - 1) * journal.page_count() / 4);
+  }
+}
+
+// Two kernels alive at once keep separate write logs: writes to one never
+// show up in the other's journal, and each matches its own oracle.
+TEST(PageJournalTest, TwoKernelsKeepSeparateWriteLogs) {
+  KernelMutator left(11);
+  KernelMutator right(12);
+  OracleJournal left_journal(left.kernel());
+  OracleJournal right_journal(right.kernel());
+  for (int step = 0; step < 40; ++step) {
+    (step % 3 == 0 ? right : left).Step();
+    ASSERT_TRUE(left_journal.MatchesOracle()) << "step " << step;
+    ASSERT_TRUE(right_journal.MatchesOracle()) << "step " << step;
+  }
+}
+
+// A rescan rehashes only what was written since the previous scan: with
+// 4 KiB host pages, a byte poked into a host page costs the two arena pages
+// that host page overlaps, and a same-value rewrite is rehashed but not
+// reported dirty.
+TEST(PageJournalTest, RescanHashesOnlyWrittenPages) {
+  vkern::KernelConfig config;
+  config.arena_bytes = 16ull << 20;
+  vkern::Kernel kernel(config);
+  auto* spare =
+      static_cast<uint8_t*>(kernel.buddy().PageAddress(kernel.buddy().AllocPages(2)));
+  vkern::PageJournal journal(&kernel.arena(), kernel.generation());
+
+  struct Poke {
+    size_t offset;
+    uint8_t value;
+    size_t dirty_pages;
+  };
+  for (Poke poke : {Poke{100, 7, 1}, Poke{kPage + 100, 7, 1}, Poke{kPage + 100, 7, 0}}) {
+    uint64_t hashed_before = journal.pages_hashed();
+    spare[poke.offset] = poke.value;
+    kernel.BumpGeneration();
+    std::vector<uint32_t> dirty =
+        journal.DirtyPagesSince(kernel.generation() - 1, kernel.generation());
+    EXPECT_EQ(journal.pages_hashed() - hashed_before, 2u);
+    EXPECT_EQ(dirty.size(), poke.dirty_pages);
+  }
+}
+
+// The arena starts 16 bytes into a host page, where operator new[] used to
+// put it: every object keeps its page offset, so every figure keeps reading
+// the same 256 B blocks.
+TEST(PageJournalTest, ArenaBaseSitsSixteenBytesIntoAPage) {
+  vkern::Kernel kernel;
+  EXPECT_EQ(kernel.arena().base_addr() % vkern::kPageSize, 16u);
+}
+
+// Arming the write log installs a process-wide SIGSEGV handler; it forwards
+// every fault it does not own, so a stray write outside every arena still
+// crashes.
+void WriteToReadOnlyPageAfterArming() {
+  vkern::KernelConfig config;
+  config.arena_bytes = 16ull << 20;
+  vkern::Kernel kernel(config);
+  vkern::PageJournal journal(&kernel.arena(), kernel.generation());
+  void* page = mmap(nullptr, kPage, PROT_READ, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(page, MAP_FAILED);
+  *static_cast<volatile uint8_t*>(page) = 1;
+}
+
+TEST(PageJournalDeathTest, StrayWriteStillCrashes) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  // The sanitizer's handler, installed first, reports the fault and exits.
+  EXPECT_DEATH(WriteToReadOnlyPageAfterArming(), "SEGV on unknown address");
+#else
+  EXPECT_EXIT(WriteToReadOnlyPageAfterArming(), ::testing::KilledBySignal(SIGSEGV), "");
+#endif
 }
 
 // --- a flat memory domain with an exact dirty log ---------------------------
