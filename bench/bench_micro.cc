@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/walk_ceilings.h"
 #include "src/analysis/check.h"
 #include "src/dbg/target.h"
 #include "src/serve/server.h"
@@ -365,55 +366,51 @@ int CheckCacheSpeedup() {
   return 0;
 }
 
-// --- plan-speedup guard -----------------------------------------------------
+// --- walker guard -------------------------------------------------------------
 
-// Asserts the extraction-plan compiler pays for itself where the paper's
-// latency model hurts most: a COLD extraction of a high-fanout figure (the
-// PID hash table — a 64-bucket array fanning into hash chains) must charge
-// at least 3x less virtual transport time with plans on than with pure
-// interpretation, because the plan gathers each wavefront of independent
-// reads into one vectored round trip. Both sides must render byte-identically
-// (the plan is a prefetch oracle, never a semantic shortcut). Returns 0 on
-// success.
-int CheckPlanSpeedup() {
+// Asserts the batched walker pays where the paper's latency model hurts
+// most, cold first paint: every figure's COLD extraction through a block
+// cache must stay within its round-trip ceiling (bench/walk_ceilings.h; the
+// walker fetches each level of the object graph in one vectored round trip)
+// and render byte-identically to the raw transport (block_bytes = 0, one
+// round trip per read). Returns 0 on success.
+int CheckWalkRoundTrips() {
   auto env = GuardEnv();
-  const vision::FigureDef* figure = vision::FindFigure("fig3_6");
-
-  dbg::KernelDebugger classic(env->kernel.get(), dbg::LatencyModel::GdbQemu());
-  dbg::KernelDebugger planned(env->kernel.get(), dbg::LatencyModel::GdbQemu());
-  vision::RegisterFigureSymbols(&classic, env->workload.get());
-  vision::RegisterFigureSymbols(&planned, env->workload.get());
-
-  viewcl::Interpreter interp_classic(&classic);
-  viewcl::InterpLimits limits;
-  limits.compile_plans = true;
-  viewcl::Interpreter interp_planned(&planned, limits);
-  auto classic_graph = interp_classic.RunProgram(figure->viewcl);
-  auto planned_graph = interp_planned.RunProgram(figure->viewcl);
-  if (!classic_graph.ok() || !planned_graph.ok()) {
-    std::printf("FAIL: plan-speedup guard extraction errored\n");
-    return 1;
+  int failures = 0;
+  uint64_t total = 0;
+  for (const vision::FigureDef& figure : vision::AllFigures()) {
+    dbg::KernelDebugger raw(env->kernel.get(), dbg::LatencyModel::GdbQemu(),
+                            dbg::CacheConfig::Disabled());
+    dbg::KernelDebugger batched(env->kernel.get(), dbg::LatencyModel::GdbQemu());
+    vision::RegisterFigureSymbols(&raw, env->workload.get());
+    vision::RegisterFigureSymbols(&batched, env->workload.get());
+    viewcl::Interpreter interp_raw(&raw);
+    viewcl::Interpreter interp_batched(&batched);
+    auto raw_graph = interp_raw.RunProgram(figure.viewcl);
+    auto batched_graph = interp_batched.RunProgram(figure.viewcl);
+    if (!raw_graph.ok() || !batched_graph.ok()) {
+      std::printf("FAIL: walker guard extraction of %s errored\n", figure.id);
+      ++failures;
+      continue;
+    }
+    if (vision::AsciiRenderer().Render(**raw_graph) !=
+        vision::AsciiRenderer().Render(**batched_graph)) {
+      std::printf("FAIL: batched render of %s diverged from the raw transport\n", figure.id);
+      ++failures;
+    }
+    uint64_t round_trips = batched.target().reads();
+    total += round_trips;
+    if (round_trips > vlbench::WalkCeiling(figure.id)) {
+      std::printf("FAIL: cold %s took %llu round trips (ceiling %llu)\n", figure.id,
+                  static_cast<unsigned long long>(round_trips),
+                  static_cast<unsigned long long>(vlbench::WalkCeiling(figure.id)));
+      ++failures;
+    }
   }
-  std::string classic_render = vision::AsciiRenderer().Render(**classic_graph);
-  std::string planned_render = vision::AsciiRenderer().Render(**planned_graph);
-  if (classic_render != planned_render) {
-    std::printf("FAIL: plan-assisted render diverged from the interpreter\n");
-    return 1;
-  }
-
-  uint64_t classic_ns = classic.target().clock().nanos();
-  uint64_t planned_ns = planned.target().clock().nanos();
-  double speedup = planned_ns > 0
-                       ? static_cast<double>(classic_ns) / static_cast<double>(planned_ns)
-                       : 1e100;
-  std::printf("plan-speedup guard: GDB/QEMU cold fig3_6 extraction, classic "
-              "%.2f ms, planned %.2f ms, speedup %.1fx (floor 3x)\n",
-              classic_ns / 1e6, planned_ns / 1e6, speedup);
-  if (speedup < 3.0) {
-    std::printf("FAIL: plan-assisted cold extraction is less than 3x cheaper\n");
-    return 1;
-  }
-  return 0;
+  std::printf("walker guard: GDB/QEMU cold extraction of all %zu figures, %llu round "
+              "trips, renders identical to the raw transport\n",
+              vision::AllFigures().size(), static_cast<unsigned long long>(total));
+  return failures;
 }
 
 // --- incremental-refresh guard ----------------------------------------------
@@ -795,7 +792,7 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return CheckTracingOverhead() + CheckCacheSpeedup() + CheckPlanSpeedup() +
+  return CheckTracingOverhead() + CheckCacheSpeedup() + CheckWalkRoundTrips() +
          CheckIncrementalSpeedup() +
          CheckInvariantSweepSpeedup() + CheckDisabledObservabilityOverhead() +
          CheckServeDedup() + CheckFlightOverhead();

@@ -187,11 +187,13 @@ class Lexer {
   size_t pos_ = 0;
 };
 
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // AST
 // ---------------------------------------------------------------------------
 
-struct Node {
+struct CExprNode {
   enum Kind {
     kInt,
     kIdent,
@@ -208,8 +210,12 @@ struct Node {
   Kind kind;
   uint64_t ival = 0;
   std::string text;
-  std::vector<std::unique_ptr<Node>> kids;
+  std::vector<std::unique_ptr<CExprNode>> kids;
 };
+
+namespace {
+
+using Node = CExprNode;
 
 std::unique_ptr<Node> MakeNode(Node::Kind kind) {
   auto n = std::make_unique<Node>();
@@ -748,14 +754,28 @@ vl::StatusOr<std::unique_ptr<Node>> ParseExpression(std::string_view expr) {
 
 }  // namespace
 
-vl::StatusOr<Value> EvalCExpression(EvalContext* ctx, std::string_view expr,
-                                    const Environment* env) {
-  auto parsed = ParseExpression(expr);
+CExpression CExpression::Parse(std::string_view text) {
+  CExpression out;
+  auto parsed = ParseExpression(text);
   if (!parsed.ok()) {
-    return vl::ParseError(parsed.status().message() + " in '" + std::string(expr) + "'");
+    out.status_ = vl::ParseError(parsed.status().message() + " in '" + std::string(text) + "'");
+    return out;
+  }
+  out.root_ = std::shared_ptr<const CExprNode>(std::move(parsed).value());
+  return out;
+}
+
+vl::StatusOr<Value> CExpression::Eval(EvalContext* ctx, const Environment* env) const {
+  if (root_ == nullptr) {
+    return status_;
   }
   Evaluator evaluator(ctx, env);
-  return evaluator.Eval(parsed.value().get());
+  return evaluator.Eval(root_.get());
+}
+
+vl::StatusOr<Value> EvalCExpression(EvalContext* ctx, std::string_view expr,
+                                    const Environment* env) {
+  return CExpression::Parse(expr).Eval(ctx, env);
 }
 
 vl::Status CheckCExpression(std::string_view expr) {

@@ -78,6 +78,25 @@ class EvalContext {
   const HelperRegistry* helpers_;
 };
 
+struct CExprNode;
+
+// A parsed expression: parse once, evaluate many times. A failed parse is
+// remembered, and every Eval returns its error (the same text
+// EvalCExpression gives).
+class CExpression {
+ public:
+  static CExpression Parse(std::string_view text);
+
+  bool ok() const { return root_ != nullptr; }
+  const vl::Status& status() const { return status_; }
+  // Evaluates against the context. `env` may be nullptr.
+  vl::StatusOr<Value> Eval(EvalContext* ctx, const Environment* env) const;
+
+ private:
+  std::shared_ptr<const CExprNode> root_;
+  vl::Status status_;
+};
+
 // Parses and evaluates `expr` against the context. `env` may be nullptr.
 vl::StatusOr<Value> EvalCExpression(EvalContext* ctx, std::string_view expr,
                                     const Environment* env);

@@ -62,6 +62,10 @@ class KernelDebugger {
     // sessions that never query it pay no hashing cost, and the arena's
     // write log stays unarmed until the first query.
     DirtyPageInfo DirtyPagesSince(uint64_t since_generation) const override;
+    // The arena is the one readable range.
+    std::vector<std::pair<uint64_t, uint64_t>> ReadableRanges() const override {
+      return {{arena_->base_addr(), arena_->end_addr()}};
+    }
 
    private:
     vkern::Arena* arena_;

@@ -11,6 +11,9 @@ namespace dbg {
 
 namespace {
 
+// Short enough to stay inline in the status string: deferrals are frequent.
+constexpr const char* kDeferredMessage = "deferred";
+
 // Smallest power of two >= n (n > 0), capped to keep shifts sane.
 size_t RoundUpPow2(size_t n) {
   size_t p = 1;
@@ -52,9 +55,15 @@ vl::Json CacheStats::ToJson() const {
 }
 
 ReadSession::ReadSession(Target* target, CacheConfig config)
-    : target_(target), trace_flag_(vl::Tracer::Instance().enabled_flag()) {
+    : target_(target),
+      trace_flag_(vl::Tracer::Instance().enabled_flag()),
+      readable_(target->readable_ranges()) {
   epoch_ = target_->memory_generation();
   Reconfigure(config);
+}
+
+bool ReadSession::IsDeferred(const vl::Status& status) {
+  return status.code() == vl::StatusCode::kMemoryFault && status.message() == kDeferredMessage;
 }
 
 void ReadSession::Reconfigure(CacheConfig config) {
@@ -70,6 +79,10 @@ void ReadSession::Reconfigure(CacheConfig config) {
   lru_.clear();
   page_last_dirty_.clear();
   prefetched_.clear();
+  unreadable_.clear();
+  deferred_.clear();
+  deferred_set_.clear();
+  deferring_ = deferring_ && cache_enabled();
   dirty_floor_ = epoch_;
   if (delta_enabled()) {
     // Prime the domain's dirty log (QEMU: enabling dirty logging at attach).
@@ -105,6 +118,11 @@ void ReadSession::CheckEpoch() {
   }
   uint64_t since = epoch_;
   epoch_ = now;
+  // What a batch could not read, or had yet to read, belongs to the old
+  // memory.
+  unreadable_.clear();
+  deferred_.clear();
+  deferred_set_.clear();
   if (config_.delta_invalidation) {
     DirtyPageInfo info = target_->DirtyPagesSince(since);
     if (info.supported) {
@@ -220,22 +238,25 @@ void ReadSession::RecordPages(uint64_t addr, size_t len) {
   }
 }
 
-const ReadSession::Block* ReadSession::LookupOrFetch(uint64_t base, bool* hit) {
-  auto it = blocks_.find(base);
-  if (it != blocks_.end()) {
-    *hit = true;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // move to front
-    return &it->second;
+bool ReadSession::ClipBlock(uint64_t base, size_t* lo, size_t* hi) const {
+  *lo = 0;
+  *hi = config_.block_bytes;
+  if (readable_.empty()) {
+    return true;  // unknown: try the whole block
   }
-  *hit = false;
-  // One transport round trip for the whole aligned block. If the block runs
-  // off the edge of readable memory the caller falls back to a direct read.
-  std::vector<uint8_t> bytes(config_.block_bytes);
-  if (!target_->ReadBytes(base, bytes.data(), bytes.size()).ok()) {
-    return nullptr;
+  uint64_t end = base + config_.block_bytes;
+  for (const auto& [first, last] : readable_) {
+    if (first < end && last > base) {
+      *lo = static_cast<size_t>(std::max(first, base) - base);
+      *hi = static_cast<size_t>(std::min(last, end) - base);
+      return true;
+    }
   }
-  stats_.block_fetches++;
-  stats_.fetched_bytes += bytes.size();
+  return false;
+}
+
+void ReadSession::InsertBlock(uint64_t base, std::vector<uint8_t> bytes, size_t lo,
+                              size_t hi) {
   while (blocks_.size() >= config_.capacity_blocks && !lru_.empty()) {
     blocks_.erase(lru_.back());
     lru_.pop_back();
@@ -245,7 +266,64 @@ const ReadSession::Block* ReadSession::LookupOrFetch(uint64_t base, bool* hit) {
   Block& block = blocks_[base];
   block.bytes = std::move(bytes);
   block.lru_it = lru_.begin();
-  return &block;
+  block.lo = lo;
+  block.hi = hi;
+}
+
+const ReadSession::Block* ReadSession::LookupOrFetch(uint64_t base, bool* hit) {
+  auto it = blocks_.find(base);
+  if (it != blocks_.end()) {
+    *hit = true;
+    lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // move to front
+    return &it->second;
+  }
+  *hit = false;
+  // One transport round trip for the block's readable part. If it cannot be
+  // read the caller falls back to a direct read.
+  size_t lo = 0;
+  size_t hi = 0;
+  if (unreadable_.count(base) != 0 || !ClipBlock(base, &lo, &hi)) {
+    return nullptr;
+  }
+  std::vector<uint8_t> bytes(config_.block_bytes);
+  if (!target_->ReadBytes(base + lo, bytes.data() + lo, hi - lo).ok()) {
+    return nullptr;
+  }
+  stats_.block_fetches++;
+  stats_.fetched_bytes += hi - lo;
+  InsertBlock(base, std::move(bytes), lo, hi);
+  return &blocks_.find(base)->second;
+}
+
+bool ReadSession::Deferrable(uint64_t base) const {
+  size_t lo = 0;
+  size_t hi = 0;
+  return blocks_.count(base) == 0 && unreadable_.count(base) == 0 && ClipBlock(base, &lo, &hi);
+}
+
+bool ReadSession::WouldDefer(uint64_t addr, size_t len) const {
+  uint64_t first = (addr >> block_shift_) << block_shift_;
+  for (uint64_t base = first; deferring_ && len != 0 && base < addr + len;
+       base += config_.block_bytes) {
+    if (Deferrable(base)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool ReadSession::DeferMisses(uint64_t addr, size_t len) {
+  bool missed = false;
+  uint64_t first = (addr >> block_shift_) << block_shift_;
+  for (uint64_t base = first; base < addr + len; base += config_.block_bytes) {
+    if (Deferrable(base)) {
+      missed = true;
+      if (deferred_set_.insert(base).second) {
+        deferred_.emplace_back(base, target_->read_tag());
+      }
+    }
+  }
+  return missed;
 }
 
 vl::Status ReadSession::ReadBytes(uint64_t addr, void* out, size_t len) {
@@ -256,6 +334,10 @@ vl::Status ReadSession::ReadBytes(uint64_t addr, void* out, size_t len) {
     return target_->ReadBytes(addr, out, len);
   }
   CheckEpoch();
+  if (deferring_ && DeferMisses(addr, len)) {
+    deferrals_++;  // pay for none of the read's blocks now
+    return vl::MemoryFaultError(kDeferredMessage);
+  }
   uint8_t* dst = static_cast<uint8_t*>(out);
   uint64_t pos = addr;
   size_t remaining = len;
@@ -265,9 +347,10 @@ vl::Status ReadSession::ReadBytes(uint64_t addr, void* out, size_t len) {
     size_t take = std::min(remaining, config_.block_bytes - offset);
     bool hit = false;
     const Block* block = LookupOrFetch(base, &hit);
-    if (block == nullptr) {
-      // The aligned block straddles unreadable memory (e.g. the arena edge);
-      // fall through to an exact-range read, charged like a raw Target read.
+    if (block == nullptr || offset < block->lo || offset + take > block->hi) {
+      // The bytes are not cacheable (the block is unreadable, or the read
+      // reaches past the readable part of an edge block): fall through to an
+      // exact-range read, charged like a raw Target read.
       stats_.uncached_reads++;
       VL_RETURN_IF_ERROR(target_->ReadBytes(pos, dst, take));
       if (trace_flag_->load(std::memory_order_relaxed)) {
@@ -352,6 +435,10 @@ void ReadSession::Prefetch(uint64_t addr, size_t len) {
     return;
   }
   CheckEpoch();
+  if (deferring_) {
+    (void)DeferMisses(addr, len);  // joins the next batch
+    return;
+  }
   uint64_t base = (addr >> block_shift_) << block_shift_;
   uint64_t end = addr + len;
   for (uint64_t b = base; b < end; b += config_.block_bytes) {
@@ -360,71 +447,54 @@ void ReadSession::Prefetch(uint64_t addr, size_t len) {
   }
 }
 
-ReadSession::SpanFetch ReadSession::FetchSpans(
-    const std::vector<Span>& spans,
-    std::unordered_map<uint64_t, std::vector<uint8_t>>* snapshot) {
+ReadSession::SpanFetch ReadSession::FetchDeferred() {
+  std::vector<std::pair<uint64_t, const char*>> deferred;
+  deferred.swap(deferred_);
+  deferred_set_.clear();
   SpanFetch out;
   if (!cache_enabled()) {
     return out;
   }
   CheckEpoch();
-  // Gather the aligned blocks the spans cover; cached blocks are touched
-  // (LRU) and copied into the snapshot, missing blocks queue for the batch.
+  // The readable part of every recorded block still missing, each attributed
+  // to the read tag it was recorded under.
   std::vector<uint64_t> missing;
-  std::unordered_set<uint64_t> seen;
-  for (const Span& span : spans) {
-    if (span.len == 0) {
-      continue;
-    }
-    uint64_t base = (span.addr >> block_shift_) << block_shift_;
-    uint64_t end = span.addr + span.len;
-    for (uint64_t b = base; b < end; b += config_.block_bytes) {
-      if (!seen.insert(b).second) {
-        continue;
-      }
-      auto it = blocks_.find(b);
-      if (it != blocks_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-        if (snapshot != nullptr) {
-          (*snapshot)[b] = it->second.bytes;
-        }
-        continue;
-      }
-      missing.push_back(b);
+  std::vector<std::vector<uint8_t>> buffers;
+  std::vector<ReadSpan> batch;
+  for (const auto& [base, tag] : deferred) {
+    size_t lo = 0;
+    size_t hi = 0;
+    if (Deferrable(base) && ClipBlock(base, &lo, &hi)) {
+      missing.push_back(base);
+      buffers.emplace_back(config_.block_bytes);
+      batch.push_back(ReadSpan{base + lo, hi - lo, nullptr, false, tag});
     }
   }
   if (missing.empty()) {
     return out;
   }
-  // One vectored transport request for every missing block.
-  std::vector<std::vector<uint8_t>> buffers(missing.size());
-  std::vector<ReadSpan> batch(missing.size());
   for (size_t i = 0; i < missing.size(); ++i) {
-    buffers[i].resize(config_.block_bytes);
-    batch[i] = ReadSpan{missing[i], config_.block_bytes, buffers[i].data(), false};
+    batch[i].out = buffers[i].data() + (batch[i].addr - missing[i]);
   }
+  // One vectored transport request for every missing block.
   (void)target_->ReadVector(batch);
   out.batches = 1;
   stats_.vector_batches++;
   for (size_t i = 0; i < missing.size(); ++i) {
     if (!batch[i].ok) {
-      continue;  // unreadable block: reads of it fall back to exact ranges
+      // Unreadable: later reads of it fall back to exact ranges instead of
+      // deferring again.
+      unreadable_.insert(missing[i]);
+      continue;
     }
     out.fetched_blocks++;
     stats_.vector_blocks++;
-    stats_.fetched_bytes += config_.block_bytes;
-    while (blocks_.size() >= config_.capacity_blocks && !lru_.empty()) {
-      blocks_.erase(lru_.back());
-      lru_.pop_back();
-      stats_.evictions++;
+    stats_.fetched_bytes += batch[i].len;
+    if (trace_flag_->load(std::memory_order_relaxed)) {
+      vl::Tracer::Instance().Annotate("cache.miss_bytes", static_cast<int64_t>(batch[i].len));
     }
-    lru_.push_front(missing[i]);
-    Block& block = blocks_[missing[i]];
-    if (snapshot != nullptr) {
-      (*snapshot)[missing[i]] = buffers[i];
-    }
-    block.bytes = std::move(buffers[i]);
-    block.lru_it = lru_.begin();
+    size_t lo = static_cast<size_t>(batch[i].addr - missing[i]);
+    InsertBlock(missing[i], std::move(buffers[i]), lo, lo + batch[i].len);
   }
   return out;
 }

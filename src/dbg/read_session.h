@@ -17,6 +17,10 @@
 // out-of-band (tests poking subsystems directly) must either bump the kernel
 // generation or call InvalidateAll(). See docs/caching.md.
 //
+// Blocks at the edge of readable memory (the session learns the target's
+// readable ranges at attach) are fetched clipped to their readable bytes, so
+// they cache like any other block.
+//
 // All extract-pipeline consumers (ViewCL interpreter, ViewQL raw-field WHERE
 // fallback, the C-expression engine, decorators) read through a ReadSession;
 // Target's raw API remains for tests and benches that need exact per-request
@@ -132,28 +136,30 @@ class ReadSession {
   void PrefetchObject(uint64_t addr, const Type* type);
   void Prefetch(uint64_t addr, size_t len);
 
-  // One address range of a vectored fetch (FetchSpans).
-  struct Span {
-    uint64_t addr = 0;
-    size_t len = 0;
-  };
+  // What one FetchDeferred issued.
   struct SpanFetch {
     size_t batches = 0;         // vectored transport requests issued (0 or 1)
     size_t fetched_blocks = 0;  // blocks the batch pulled into the cache
   };
-  // The extraction-plan executor's entry point
-  // (docs/caching.md#vectored-reads): ensures every byte of the given spans
-  // is cached, gathering all missing aligned blocks into ONE
-  // Target::ReadVector batch, so a whole wavefront of independent reads
-  // costs one base latency instead of one per block. Spans already cached
-  // cost nothing; unreadable blocks are skipped (later reads fall back to
-  // the exact-range path). When `snapshot` is non-null, every block covering
-  // the spans — cached or just fetched — is copied into it (block base ->
-  // bytes), giving parallel decode workers a read-only view of the
-  // wavefront's memory without touching the session. No-op when caching is
-  // disabled.
-  SpanFetch FetchSpans(const std::vector<Span>& spans,
-                       std::unordered_map<uint64_t, std::vector<uint8_t>>* snapshot);
+
+  // --- deferred-miss mode (docs/caching.md#the-extraction-walker) ---
+  // While deferring, a read that misses the block cache pays no round trip:
+  // it records the blocks it needs, bumps deferrals(), and fails with a
+  // status IsDeferred() recognizes. Prefetches record their missing blocks
+  // without failing anything. FetchDeferred() then fetches everything
+  // recorded in ONE Target::ReadVector batch (docs/caching.md#vectored-reads),
+  // so a whole level of independent reads costs one base latency. A deferred
+  // read is not a failed read: a block the batch cannot read is remembered as
+  // unreadable until the epoch moves, and blocks known unreadable (or outside
+  // the readable ranges) are never deferred — reads of them take the
+  // exact-range fallback.
+  void set_deferring(bool on) { deferring_ = on && cache_enabled(); }
+  uint64_t deferrals() const { return deferrals_; }
+  size_t deferred_blocks() const { return deferred_.size(); }
+  // True when a read of [addr, addr+len) would defer now.
+  bool WouldDefer(uint64_t addr, size_t len) const;
+  SpanFetch FetchDeferred();
+  static bool IsDeferred(const vl::Status& status);
 
   // Drops every cached block (does not touch stats counters except nothing).
   void InvalidateAll();
@@ -209,6 +215,10 @@ class ReadSession {
   struct Block {
     std::vector<uint8_t> bytes;
     std::list<uint64_t>::iterator lru_it;  // position in lru_ (front = hottest)
+    // Readable part [lo, hi) of the block: the whole block except at the
+    // edge of readable memory, where it is clipped to the readable bytes.
+    size_t lo = 0;
+    size_t hi = 0;
   };
 
   // Granularity of page-epoch bookkeeping (RangeCleanSince, page scopes).
@@ -228,9 +238,21 @@ class ReadSession {
   // Records the granules of [addr, addr+len) into the innermost page scope.
   void RecordPages(uint64_t addr, size_t len);
   // Returns the cached block with base address `base`, fetching it on miss.
-  // nullptr if the block cannot be read as a whole (caller falls back to a
-  // direct ranged read). `hit` reports whether the block was already present.
+  // nullptr if the block cannot be read (caller falls back to a direct
+  // ranged read). `hit` reports whether the block was already present.
   const Block* LookupOrFetch(uint64_t base, bool* hit);
+  // The readable part [*lo, *hi) of the block at `base`, as offsets into it:
+  // the whole block when the readable ranges are unknown. False when no
+  // byte of the block is readable.
+  bool ClipBlock(uint64_t base, size_t* lo, size_t* hi) const;
+  // True when the block at `base` is missing and may be deferred (not known
+  // unreadable).
+  bool Deferrable(uint64_t base) const;
+  // Records the deferrable blocks of [addr, addr+len) the cache misses;
+  // true if there were any.
+  bool DeferMisses(uint64_t addr, size_t len);
+  // Inserts a fetched block, evicting LRU blocks past capacity.
+  void InsertBlock(uint64_t base, std::vector<uint8_t> bytes, size_t lo, size_t hi);
 
   Target* target_;
   const std::atomic<bool>* trace_flag_;  // Tracer's enabled flag (cached)
@@ -240,6 +262,17 @@ class ReadSession {
   CacheStats stats_;
   std::unordered_map<uint64_t, Block> blocks_;  // keyed by block base address
   std::list<uint64_t> lru_;                     // front = most recently used
+  // The target's readable ranges, learned at attach (empty = unknown).
+  std::vector<std::pair<uint64_t, uint64_t>> readable_;
+
+  // --- deferred-miss state ---
+  bool deferring_ = false;
+  uint64_t deferrals_ = 0;
+  // Recorded blocks in order, with the read tag each was recorded under.
+  std::vector<std::pair<uint64_t, const char*>> deferred_;
+  std::unordered_set<uint64_t> deferred_set_;
+  // Blocks a batch could not read, until the epoch moves.
+  std::unordered_set<uint64_t> unreadable_;
 
   // --- incremental refresh state ---
   // Last epoch each granule was reported dirty at (granule base -> epoch).

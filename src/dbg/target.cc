@@ -42,10 +42,9 @@ void Target::ResetStats() {
   // zeroes the clock but kept stale sweep charges would break the stats-schema
   // invariant that reset zeroes every counter family.
   vl::MetricsRegistry::Instance().ResetPrefix("check.");
-  // Same invariant for the vectored-read batches and the extraction-plan
-  // counters: both families account charges on this clock.
+  // Same invariant for the vectored-read batches, which account charges on
+  // this clock.
   vl::MetricsRegistry::Instance().ResetPrefix("read.vector.");
-  vl::MetricsRegistry::Instance().ResetPrefix("plan.");
 }
 
 size_t Target::ReadVector(std::vector<ReadSpan>& spans) {
@@ -83,12 +82,30 @@ size_t Target::ReadVector(std::vector<ReadSpan>& spans) {
     metrics.GetCounter("read.vector.avoided_round_trips")->Add(ok_count - 1);
   }
   if (trace_flag_->load(std::memory_order_relaxed)) {
-    vl::Tracer::Instance().CompleteEvent(
-        "dbg.read_vector", clock_.nanos() - cost, cost,
-        {{"spans", static_cast<int64_t>(ok_count)},
-         {"bytes", static_cast<int64_t>(ok_bytes)}});
+    RecordVector(spans, ok_count, ok_bytes, cost);  // tracing slow path, out of line
   }
   return ok_count;
+}
+
+void Target::RecordVector(const std::vector<ReadSpan>& spans, size_t ok_count,
+                          size_t ok_bytes, uint64_t cost) {
+  // The batch is one read in the size/latency histograms; its spans feed the
+  // per-type counters under the tag each was recorded with.
+  vl::MetricsRegistry& metrics = vl::MetricsRegistry::Instance();
+  metrics.GetHistogram("dbg.read.bytes")->Record(ok_bytes);
+  metrics.GetHistogram("dbg.read.latency_ns")->Record(cost);
+  for (const ReadSpan& span : spans) {
+    if (span.ok) {
+      const char* tag = span.tag != nullptr   ? span.tag
+                        : read_tag_ != nullptr ? read_tag_
+                                               : "untyped";
+      metrics.GetCounter(std::string("dbg.read.by_type.") + tag)->Add();
+      metrics.GetCounter(std::string("dbg.read.bytes.by_type.") + tag)->Add(span.len);
+    }
+  }
+  vl::Tracer::Instance().CompleteEvent(
+      "dbg.read_vector", clock_.nanos() - cost, cost,
+      {{"spans", static_cast<int64_t>(ok_count)}, {"bytes", static_cast<int64_t>(ok_bytes)}});
 }
 
 DirtyPageInfo Target::DirtyPagesSince(uint64_t since_generation) {

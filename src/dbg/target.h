@@ -19,6 +19,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/support/json.h"
@@ -57,16 +58,23 @@ class MemoryDomain {
     (void)since_generation;
     return {};
   }
+  // The address ranges [first, second) this domain can read, sorted and
+  // disjoint (GDB learns them with qXfer:memory-map:read at attach). Empty
+  // means unknown. Block caches use them to fetch a block that straddles the
+  // edge of readable memory clipped to its readable part.
+  virtual std::vector<std::pair<uint64_t, uint64_t>> ReadableRanges() const { return {}; }
 };
 
 // One span of a vectored read request (Target::ReadVector). The caller owns
 // `out` (must hold `len` bytes); `ok` reports per-span success after the
-// batch completes.
+// batch completes. `tag` attributes the span in the per-type read counters
+// (nullptr: the target's current read tag).
 struct ReadSpan {
   uint64_t addr = 0;
   size_t len = 0;
   void* out = nullptr;
   bool ok = false;
+  const char* tag = nullptr;
 };
 
 // Per-access cost model for a debugger transport.
@@ -157,10 +165,10 @@ class Target {
   uint64_t bytes_read() const { return bytes_read_.load(std::memory_order_relaxed); }
   // Resets clock, totals, per-model attribution, AND the `dbg.read.*`
   // tracing metrics recorded via RecordRead — plus the `read.vector.*` batch
-  // counters and the `plan.*` extraction-plan counters charged on this
-  // clock — so back-to-back bench phases can't leak counts into each other. Safe to call while readers snapshot
-  // stats concurrently (they see either pre- or post-reset values, never a
-  // torn map).
+  // counters charged on this clock — so back-to-back bench phases can't leak
+  // counts into each other. Safe to call while readers snapshot stats
+  // concurrently (they see either pre- or post-reset values, never a torn
+  // map).
   void ResetStats();
 
   // Charges attributed per latency-model name, snapshotted by value so a
@@ -174,6 +182,10 @@ class Target {
   const LatencyModel& model() const { return model_; }
   // The memory domain's mutation epoch (see MemoryDomain::generation).
   uint64_t memory_generation() const { return memory_->generation(); }
+  // The memory domain's readable ranges (see MemoryDomain::ReadableRanges).
+  std::vector<std::pair<uint64_t, uint64_t>> readable_ranges() const {
+    return memory_->ReadableRanges();
+  }
   // Swapping the latency model closes out the outgoing model's charge window
   // (totals stay on the shared clock, per-model attribution stays correct).
   void set_model(LatencyModel model);
@@ -212,6 +224,8 @@ class Target {
     }
   }
   void RecordRead(size_t len, uint64_t cost);
+  void RecordVector(const std::vector<ReadSpan>& spans, size_t ok_count, size_t ok_bytes,
+                    uint64_t cost);
   void RecordDirtyQuery(const DirtyPageInfo& info, uint64_t cost);
   // Attributes charges since the last swap/flush to the current model.
   // Caller must hold stats_mu_.

@@ -14,7 +14,6 @@ SessionOptions SessionOptions::FromCacheConfig(const dbg::CacheConfig& config) {
   options.max_dirty_ratio = config.max_dirty_ratio;
   options.shared_engines = false;
   options.coalesce = false;
-  options.compile_plans = false;  // classic = pure interpretation
   return options;
 }
 

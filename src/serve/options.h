@@ -53,11 +53,9 @@ struct SessionOptions {
   // epoch, backend) are served once and fanned out from the shard's result
   // cache. false restores classic always-re-extract semantics.
   bool coalesce = true;
-  // Compile loaded ViewCL into typed extraction plans and run them as a
-  // batched prefetch pass (vectored transport reads) before each
-  // interpretation — docs/caching.md#extraction-plans. Serving default; only
-  // engages when the shard has a block cache, and programs the linter
-  // diagnoses fall back to pure interpretation automatically.
+  // Selects nothing: extraction batches whenever the shard has a block
+  // cache (docs/caching.md#the-extraction-walker). Kept only because vbench
+  // still assigns it.
   bool compile_plans = true;
 
   // --- placement & admission control ---

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "src/analysis/lint.h"
 #include "src/support/metrics.h"
 #include "src/support/str.h"
 #include "src/vision/figures.h"
@@ -67,26 +66,6 @@ vl::Status ValidateShardName(const std::string& name) {
   return vl::Status::Ok();
 }
 
-// Builds an extraction engine honoring the session's plan option. When plans
-// are on, a linter-backed gate keeps statically diagnosed programs on the
-// classic interpretation path (the speculative executor never sees them).
-std::unique_ptr<viewcl::Interpreter> MakeEngine(dbg::KernelDebugger* debugger,
-                                                const SessionOptions& options) {
-  viewcl::InterpLimits limits;
-  limits.compile_plans = options.compile_plans;
-  auto engine = std::make_unique<viewcl::Interpreter>(debugger, limits);
-  if (options.compile_plans) {
-    viewcl::Interpreter* raw = engine.get();
-    engine->SetPlanGate(
-        [debugger, raw](const viewcl::Program& program, std::string_view source) {
-          analysis::Linter linter(&debugger->types(), &debugger->symbols(),
-                                  &debugger->helpers(), &raw->emoji());
-          return linter.LintViewCl(program, source).diagnostics.errors() == 0;
-        });
-  }
-  return engine;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -129,7 +108,7 @@ const std::string& Session::shard_name() const { return shard_->name; }
 
 viewcl::Interpreter* Session::classic_engine() {
   if (classic_engine_ == nullptr) {
-    classic_engine_ = MakeEngine(debugger_, options_);
+    classic_engine_ = std::make_unique<viewcl::Interpreter>(debugger_);
   }
   return classic_engine_.get();
 }
@@ -633,9 +612,7 @@ vl::StatusOr<std::unique_ptr<viewcl::ViewGraph>> Server::ReplotLocked(
   internal::Shard* shard = session->shard_;
   std::unique_ptr<viewcl::Interpreter>& slot = shard->engines[program];
   if (slot == nullptr) {
-    // The first session to plot a program fixes the shared engine's plan
-    // setting (sessions already agree on the cache config to share a shard).
-    slot = MakeEngine(shard->debugger, session->options_);
+    slot = std::make_unique<viewcl::Interpreter>(shard->debugger);
     vl::Status loaded = slot->Load(program);
     if (!loaded.ok()) {
       shard->engines.erase(program);
@@ -816,6 +793,7 @@ vl::Json Server::StatsToJson() const {
   j["workers"] = vl::Json::Int(static_cast<int64_t>(workers_.size()));
   j["queued"] = vl::Json::Int(static_cast<int64_t>(queue_.size()));
   vl::Json shards = vl::Json::Object();
+  viewcl::WalkStats total_walk;
   for (const auto& shard : shards_) {
     vl::Json s = vl::Json::Object();
     s["sessions"] = vl::Json::Int(static_cast<int64_t>(shard->sessions));
@@ -824,6 +802,19 @@ vl::Json Server::StatsToJson() const {
       s["extractions"] = vl::Json::Int(static_cast<int64_t>(shard->extractions));
       s["engines"] = vl::Json::Int(static_cast<int64_t>(shard->engines.size()));
       s["control_ns"] = vl::Json::Int(static_cast<int64_t>(shard->control_ns));
+      // The walker accounting of the engines that run under the shard lock:
+      // the shared per-program engines and the sessions' private ones.
+      viewcl::WalkStats walk;
+      for (const auto& [program, engine] : shard->engines) {
+        walk += engine->walk_stats();
+      }
+      for (const Session* session : sessions_) {
+        if (session->shard_ == shard.get() && session->classic_engine_ != nullptr) {
+          walk += session->classic_engine_->walk_stats();
+        }
+      }
+      s["walk"] = walk.ToJson();
+      total_walk += walk;
     }
     {
       std::lock_guard<std::mutex> cache_lock(shard->cache_mu);
@@ -848,39 +839,8 @@ vl::Json Server::StatsToJson() const {
     sessions.Append(session->StatsToJson());
   }
   j["per_session"] = std::move(sessions);
-  // Extraction-plan accounting (unconditional counter families; fleet-wide
-  // because every shard's engines feed the same registry).
-  vl::MetricsRegistry& metrics = vl::MetricsRegistry::Instance();
-  auto counter = [&metrics](const char* name) {
-    return vl::Json::Int(static_cast<int64_t>(metrics.GetCounter(name)->value()));
-  };
-  vl::Json plan = vl::Json::Object();
-  plan["compiles"] = counter("plan.compiles");
-  plan["cache_hits"] = counter("plan.cache_hits");
-  plan["executions"] = counter("plan.executions");
-  plan["wavefronts"] = counter("plan.wavefronts");
-  plan["batches"] = counter("plan.batches");
-  plan["batched_reads"] = counter("read.vector.spans");
-  plan["avoided_round_trips"] = counter("read.vector.avoided_round_trips");
-  plan["parallel_wavefronts"] = counter("plan.parallel_wavefronts");
-  plan["steered_skips"] = counter("plan.steered_skips");
-  plan["soft_errors"] = counter("plan.soft_errors");
-  j["plan"] = std::move(plan);
+  j["walk"] = total_walk.ToJson();
   return j;
-}
-
-vl::Json Server::PlanJson(Session* session, const std::string& program) {
-  internal::Shard* shard = session->shard_;
-  std::lock_guard<std::mutex> lock(shard->mu);
-  if (!session->options_.shared_engines) {
-    viewcl::Interpreter* engine = session->classic_engine_.get();
-    return engine != nullptr ? engine->PlanToJson() : vl::Json::Null();
-  }
-  auto it = shard->engines.find(program);
-  if (it == shard->engines.end()) {
-    return vl::Json::Null();
-  }
-  return it->second->PlanToJson();
 }
 
 void Server::PublishMetrics() const {
@@ -904,18 +864,6 @@ void Server::PublishMetrics() const {
       ->Set(static_cast<int64_t>(check_rules_skipped_.load(std::memory_order_relaxed)));
   metrics.GetGauge("check.fleet.charged_ns")
       ->Set(static_cast<int64_t>(check_charged_ns_.load(std::memory_order_relaxed)));
-  // Plan gauges (vl_plan_* in the Prometheus export): snapshots of the
-  // unconditional plan.* / read.vector.* counter families.
-  auto counter_gauge = [&metrics](const char* gauge, const char* counter) {
-    metrics.GetGauge(gauge)->Set(
-        static_cast<int64_t>(metrics.GetCounter(counter)->value()));
-  };
-  counter_gauge("plan.fleet.compiles", "plan.compiles");
-  counter_gauge("plan.fleet.cache_hits", "plan.cache_hits");
-  counter_gauge("plan.fleet.wavefronts", "plan.wavefronts");
-  counter_gauge("plan.fleet.batches", "plan.batches");
-  counter_gauge("plan.fleet.batched_reads", "read.vector.spans");
-  counter_gauge("plan.fleet.avoided_round_trips", "read.vector.avoided_round_trips");
   for (const auto& shard : shards_) {
     const std::string prefix = "serve.shard." + shard->name;
     metrics.GetGauge(prefix + ".sessions")->Set(static_cast<int64_t>(shard->sessions));
@@ -1327,11 +1275,10 @@ vl::StatusOr<Server::SweepResult> Server::Sweep(std::string_view rule, bool incr
 void Server::ResetStats() {
   Drain();
   std::lock_guard<std::mutex> lock(mu_);
-  // Target::ResetStats (below) clears check.*, plan.*, and read.vector.* per
-  // shard, but a shardless server must still honor the reset-zeroes-every-
-  // family invariant.
+  // Target::ResetStats (below) clears check.* and read.vector.* per shard,
+  // but a shardless server must still honor the reset-zeroes-every-family
+  // invariant.
   vl::MetricsRegistry::Instance().ResetPrefix("check.");
-  vl::MetricsRegistry::Instance().ResetPrefix("plan.");
   vl::MetricsRegistry::Instance().ResetPrefix("read.vector.");
   for (const auto& shard : shards_) {
     // Target::ResetStats zeroes the virtual clock itself, so the charged-ns
@@ -1342,6 +1289,14 @@ void Server::ResetStats() {
       shard->extractions = 0;
       shard->control_ns = 0;
       shard->clock0 = shard->debugger->target().clock().nanos();
+      for (auto& [program, engine] : shard->engines) {
+        engine->ResetWalkStats();
+      }
+      for (Session* session : sessions_) {
+        if (session->shard_ == shard.get() && session->classic_engine_ != nullptr) {
+          session->classic_engine_->ResetWalkStats();
+        }
+      }
     }
     {
       std::lock_guard<std::mutex> cache_lock(shard->cache_mu);

@@ -266,11 +266,6 @@ class Server {
   // Aggregate + per-shard + per-session stats (the `vctrl stats` "serve"
   // section and the Prometheus export's source of truth).
   vl::Json StatsToJson() const;
-  // The compiled extraction plan behind `program` as served to `session`
-  // (shared shard engine, or the session's classic engine): DAG dump plus the
-  // last execution's batch stats (`vctrl plan`). Null JSON when no engine has
-  // run the program with plans enabled.
-  vl::Json PlanJson(Session* session, const std::string& program);
   // Publishes serve.shard.* / serve.session.* / serve.flights.* gauges to the
   // global MetricsRegistry (not thread-safe — call from the control plane,
   // drained). `vctrl export prom` calls this itself (publish-on-export).

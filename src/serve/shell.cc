@@ -59,7 +59,7 @@ std::string DebuggerShell::Execute(const std::string& line) {
   if (command == "help" || command.empty()) {
     return "commands: vplot <pane> [--auto <type> <expr>] <viewcl> | "
            "vctrl split|apply|lint|check|focus|view|dot|json|layout|save|stats|trace|"
-           "explain|plan|refresh|watch|budget|flights|top|slo|export | "
+           "explain|refresh|watch|budget|flights|top|slo|export | "
            "vprof <pane> <viewcl> | "
            "vchat <pane> <request>\n";
   }
@@ -200,9 +200,6 @@ std::string DebuggerShell::CmdVctrl(const std::string& args) {
   if (sub == "explain") {
     return CmdExplain(rest);
   }
-  if (sub == "plan") {
-    return CmdPlan(rest);
-  }
   if (sub == "refresh") {
     return CmdRefresh(rest);
   }
@@ -225,7 +222,7 @@ std::string DebuggerShell::CmdVctrl(const std::string& args) {
     return CmdSlo(rest);
   }
   return "usage: vctrl split|apply|focus|view|layout|save|stats|trace|"
-         "explain|plan|refresh|watch|budget|flights|top|slo|check|export ...\n";
+         "explain|refresh|watch|budget|flights|top|slo|check|export ...\n";
 }
 
 std::string DebuggerShell::CmdCheck(const std::string& args) {
@@ -306,21 +303,6 @@ vl::Json DebuggerShell::StatsJson() const {
   inc["reran"] = vl::Json::Int(metrics.GetCounter("check.incremental.reran")->value());
   check["incremental"] = std::move(inc);
   j["check"] = std::move(check);
-  // Extraction-plan accounting, fed by the plan.* / read.vector.* families.
-  vl::Json plan = vl::Json::Object();
-  plan["compiles"] = vl::Json::Int(metrics.GetCounter("plan.compiles")->value());
-  plan["cache_hits"] = vl::Json::Int(metrics.GetCounter("plan.cache_hits")->value());
-  plan["executions"] = vl::Json::Int(metrics.GetCounter("plan.executions")->value());
-  plan["wavefronts"] = vl::Json::Int(metrics.GetCounter("plan.wavefronts")->value());
-  plan["batches"] = vl::Json::Int(metrics.GetCounter("plan.batches")->value());
-  plan["batched_reads"] = vl::Json::Int(metrics.GetCounter("read.vector.spans")->value());
-  plan["avoided_round_trips"] =
-      vl::Json::Int(metrics.GetCounter("read.vector.avoided_round_trips")->value());
-  plan["parallel_wavefronts"] =
-      vl::Json::Int(metrics.GetCounter("plan.parallel_wavefronts")->value());
-  plan["steered_skips"] = vl::Json::Int(metrics.GetCounter("plan.steered_skips")->value());
-  plan["soft_errors"] = vl::Json::Int(metrics.GetCounter("plan.soft_errors")->value());
-  j["plan"] = std::move(plan);
   return j;
 }
 
@@ -423,18 +405,13 @@ std::string DebuggerShell::CmdStats(const std::string& args) {
         static_cast<long long>(registry.GetCounter("check.charged_ns")->value()),
         static_cast<long long>(registry.GetCounter("check.incremental.skipped")->value()));
   }
-  if (registry.GetCounter("plan.compiles")->value() > 0 ||
-      registry.GetCounter("read.vector.batches")->value() > 0) {
-    out += vl::StrFormat(
-        "plan: %lld compiled, %lld cache hit(s), %lld wavefront(s), "
-        "%lld batch(es), %lld batched read(s), %lld round trip(s) avoided\n",
-        static_cast<long long>(registry.GetCounter("plan.compiles")->value()),
-        static_cast<long long>(registry.GetCounter("plan.cache_hits")->value()),
-        static_cast<long long>(registry.GetCounter("plan.wavefronts")->value()),
-        static_cast<long long>(registry.GetCounter("plan.batches")->value()),
-        static_cast<long long>(registry.GetCounter("read.vector.spans")->value()),
-        static_cast<long long>(
-            registry.GetCounter("read.vector.avoided_round_trips")->value()));
+  vl::Json walk = session_->server()->StatsToJson()["walk"];
+  if (walk["runs"].AsInt() > 0) {
+    out += "walk:";
+    for (const auto& [name, value] : walk.entries()) {
+      out += vl::StrFormat(" %s=%lld", name.c_str(), static_cast<long long>(value.AsInt()));
+    }
+    out += "\n";
   }
   std::string metrics = registry.TextReport();
   if (!metrics.empty()) {
@@ -532,59 +509,6 @@ std::string DebuggerShell::CmdExplain(const std::string& args) {
   for (const std::string& key : result->violations) {
     out += "budget violation: " + key + "\n";
   }
-  return out;
-}
-
-std::string DebuggerShell::CmdPlan(const std::string& args) {
-  auto [pane_text, mode] = SplitFirst(args);
-  int64_t pane_id = 0;
-  if (!vl::ParseInt64(pane_text, &pane_id)) {
-    return "usage: vctrl plan <pane> [json]\n";
-  }
-  std::string program = panes().program_text(static_cast<int>(pane_id));
-  if (program.empty()) {
-    return vl::StrFormat("error: pane %d has no program\n", static_cast<int>(pane_id));
-  }
-  vl::Json plan = session_->server()->PlanJson(session_, program);
-  if (plan.is_null()) {
-    return vl::StrFormat(
-        "pane %d: no extraction plan (plans disabled for this session, or the "
-        "program has not run yet)\n",
-        static_cast<int>(pane_id));
-  }
-  if (vl::StrTrim(mode) == "json") {
-    return plan.Dump(2) + "\n";
-  }
-  if (!plan["blocked"].is_null() && plan["blocked"].AsBool()) {
-    return vl::StrFormat(
-        "pane %d: plan blocked (linter diagnosed the program; classic "
-        "interpretation path)\n",
-        static_cast<int>(pane_id));
-  }
-  vl::Json& last = plan["last_exec"];
-  std::string out = vl::StrFormat(
-      "plan pane %d: %s, %lld box decl(s), %lld fallback op(s), %lld "
-      "execution(s)\n",
-      static_cast<int>(pane_id),
-      plan["complete"].AsBool() ? "complete" : "partial",
-      static_cast<long long>(plan["boxes"].size()),
-      static_cast<long long>(plan["fallback_ops"].AsInt()),
-      static_cast<long long>(plan["executions"].AsInt()));
-  out += vl::StrFormat(
-      "last exec: %lld wavefront(s), %lld batch(es), %lld span(s) (%lld B), "
-      "%lld box(es), %lld step(s)\n",
-      static_cast<long long>(last["wavefronts"].AsInt()),
-      static_cast<long long>(last["batches"].AsInt()),
-      static_cast<long long>(last["spans"].AsInt()),
-      static_cast<long long>(last["span_bytes"].AsInt()),
-      static_cast<long long>(last["boxes"].AsInt()),
-      static_cast<long long>(last["steps"].AsInt()));
-  out += vl::StrFormat(
-      "  %lld parallel wavefront(s), %lld steered skip(s), %lld soft "
-      "error(s)\n",
-      static_cast<long long>(last["parallel_wavefronts"].AsInt()),
-      static_cast<long long>(last["steered_skips"].AsInt()),
-      static_cast<long long>(last["soft_errors"].AsInt()));
   return out;
 }
 

@@ -87,7 +87,6 @@ class DebuggerShell {
   vl::Json StatsJson() const;
   std::string CmdTrace(const std::string& args);
   std::string CmdExplain(const std::string& args);
-  std::string CmdPlan(const std::string& args);
   std::string CmdRefresh(const std::string& args);
   std::string CmdWatch(const std::string& args);
   std::string CmdBudget(const std::string& args);

@@ -1,13 +1,17 @@
 #include "src/viewcl/interp.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cctype>
+#include <iterator>
 #include <optional>
+#include <tuple>
+#include <unordered_set>
 
 #include "src/support/metrics.h"
 #include "src/support/str.h"
 #include "src/support/trace.h"
 #include "src/viewcl/parser.h"
-#include "src/viewcl/plan.h"
 
 namespace viewcl {
 
@@ -78,68 +82,280 @@ class Interpreter::Scope {
 };
 
 // ---------------------------------------------------------------------------
+// Steps, tasks and the walk
+// ---------------------------------------------------------------------------
+
+// One evaluation step of a box body or of the top level, in the order the
+// recursive walk evaluates them.
+struct Interpreter::Step {
+  enum class Kind {
+    kBinding,    // top-level binding
+    kPlot,       // top-level plot
+    kBoxWhere,   // box-level where binding
+    kViewWhere,  // view-level where binding (own or inherited)
+    kItem,       // view item (own or inherited)
+    kBadView,    // the view's inheritance chain names an unknown view
+  };
+  Kind kind = Kind::kItem;
+  const Binding* binding = nullptr;
+  const ItemDecl* item = nullptr;
+  const Expr* plot = nullptr;
+  int view = -1;        // index into the declaration's views (view steps)
+  std::string error{};  // kBadView
+
+  bool binds() const {
+    return kind == Kind::kBinding || kind == Kind::kBoxWhere || kind == Kind::kViewWhere;
+  }
+};
+
+namespace {
+
+// What a task's step did, in evaluation order. The assembly replays these
+// from the roots the way the recursive walk runs.
+struct Event {
+  enum class Kind : uint8_t { kBox, kChild, kWarn, kRoot };
+  Kind kind = Kind::kBox;
+  uint64_t id = 0;                // task-local box id (kBox, kChild, kRoot)
+  const BoxDecl* decl = nullptr;  // kChild
+  int depth = 0;                  // kChild: depth the child is instantiated at
+  std::string text{};             // kWarn
+};
+
+}  // namespace
+
+// One box of the batched walk: a (declaration, address) pair — or the top
+// level — whose steps run with the session deferring its misses. A step
+// that deferred a read is undone and retried after the level's batch;
+// completed steps keep their results.
+struct Interpreter::Task {
+  struct Result {
+    bool done = false;
+    VclValue value;  // binding steps: the bound value
+    std::vector<Event> events;
+    std::map<std::string, MemberValue> members;  // writes to the task's box
+    ViewInstance out;                            // what an item appended
+  };
+
+  const BoxDecl* decl = nullptr;  // nullptr: the top level
+  uint64_t addr = 0;
+  std::vector<Step> root_steps;  // the top level's steps
+  const std::vector<Step>* steps = nullptr;
+  std::vector<Result> results;
+  // The task's own box (id 0 for box tasks), the boxes its steps created, and
+  // one placeholder per child box they referenced. Append-only: an undone
+  // step's boxes stay behind unreferenced, so ids held across attempts stay
+  // valid.
+  ViewGraph local;
+  std::map<std::pair<const BoxDecl*, uint64_t>, uint64_t> placeholders;
+  // Yields of forEach clauses that depend on nothing but their element
+  // (Interpreter::PureYield), by (yield, element address and type, depth):
+  // a retried step replays them instead of evaluating them again.
+  struct Yield {
+    VclValue value;
+    std::vector<Event> events;
+  };
+  std::map<std::tuple<const Expr*, uint64_t, const dbg::Type*, int>, Yield> yields;
+  std::unordered_set<uint64_t> pages;  // granules the task's attempts read
+  int max_depth = 0;  // deepest evaluation, relative to the box
+  int runs = 0;
+  bool done = false;
+  bool memo = false;  // covered by a clean memo: replayed, never run
+};
+
+struct Interpreter::Walk {
+  std::vector<std::unique_ptr<Task>> tasks;  // FIFO discovery order
+  std::map<std::pair<const BoxDecl*, uint64_t>, Task*> index;
+  std::vector<Task*> queue;  // tasks to run in the current level
+  size_t progress = 0;       // task attempts that did work: a stall detector
+  size_t boxes = 0;          // bound on the boxes the assembly creates
+};
+
+namespace {
+
+constexpr std::pair<const char*, uint64_t WalkStats::*> kWalkFields[] = {
+    {"runs", &WalkStats::runs},       {"levels", &WalkStats::levels},
+    {"batches", &WalkStats::batches}, {"tasks", &WalkStats::tasks},
+    {"retries", &WalkStats::retries}, {"unbatched_reads", &WalkStats::unbatched_reads},
+    {"fallbacks", &WalkStats::fallbacks},
+};
+
+}  // namespace
+
+WalkStats& WalkStats::operator+=(const WalkStats& other) {
+  for (const auto& [name, field] : kWalkFields) {
+    this->*field += other.*field;
+  }
+  return *this;
+}
+
+vl::Json WalkStats::ToJson() const {
+  vl::Json j = vl::Json::Object();
+  for (const auto& [name, field] : kWalkFields) {
+    j[name] = vl::Json::Int(static_cast<int64_t>(this->*field));
+  }
+  return j;
+}
+
+// ---------------------------------------------------------------------------
 // RunState: one evaluation of the accumulated program
 // ---------------------------------------------------------------------------
 
 class Interpreter::RunState {
  public:
-  RunState(Interpreter* interp)
+  explicit RunState(Interpreter* interp)
       : in_(interp),
         dbg_(interp->debugger_),
         ctx_(&interp->debugger_->context()),
-        graph_(std::make_unique<ViewGraph>()) {
+        out_(std::make_unique<ViewGraph>()),
+        graph_(out_.get()) {
     ResolveWellKnownOffsets();
   }
 
-  vl::StatusOr<std::unique_ptr<ViewGraph>> Run() {
-    vl::ScopedSpan span("viewcl.eval");
+  // The recursive walk: each box is evaluated where it is first referenced.
+  vl::StatusOr<std::unique_ptr<ViewGraph>> RunRecursive() {
     Scope global;
-    for (const Binding& binding : in_->bindings_) {
-      auto value = EvalExpr(binding.value.get(), &global, 0);
-      if (!value.ok()) {
-        Warn("binding '" + binding.name + "': " + value.status().ToString());
-        global.Set(binding.name, VclValue::Null());
-      } else {
-        global.Set(binding.name, std::move(value).value());
-      }
+    for (const Step& step : RootSteps()) {
+      EvalStep(step, &global, nullptr, nullptr, nullptr, 0);
     }
-    for (const ExprPtr& plot : in_->plots_) {
-      auto value = EvalExpr(plot.get(), &global, 0);
-      if (!value.ok()) {
-        Warn("plot: " + value.status().ToString());
-        continue;
-      }
-      switch (value->kind) {
-        case VclValue::Kind::kBox:
-          graph_->roots().push_back(value->box);
-          break;
-        case VclValue::Kind::kBoxSet: {
-          uint64_t id = MakeContainerBox("plot", value->box_set, value->set_kind);
-          graph_->roots().push_back(id);
-          break;
-        }
-        case VclValue::Kind::kRawSet: {
-          uint64_t id =
-              MakeContainerBox("plot", MakeRawBoxes("item", value->raw_set), value->set_kind);
-          graph_->roots().push_back(id);
-          break;
-        }
-        default:
-          Warn("plot produced no boxes");
-      }
+    return Finish();
+  }
+
+  // The batched walk: tasks level by level, one batch per level, then the
+  // depth-first assembly. Falls back to the recursive walk over the now-warm
+  // cache when a limit could trip.
+  vl::StatusOr<std::unique_ptr<ViewGraph>> RunBatched(WalkStats* stats) {
+    uint64_t reads_before = dbg_->target().reads();
+    Walk walk;
+    walk_ = &walk;
+    stats->runs++;
+
+    auto root = std::make_unique<Task>();
+    root->root_steps = RootSteps();
+    root->steps = &root->root_steps;
+    root->results.resize(root->steps->size());
+    walk.queue.push_back(root.get());
+    walk.tasks.push_back(std::move(root));
+
+    bool complete = WalkLevels(&walk, stats);
+    for (const auto& task : walk.tasks) {
+      stats->retries += task->runs > 1 ? task->runs - 1 : 0;
     }
-    if (vl::Tracer::Instance().enabled()) {
-      vl::MetricsRegistry& metrics = vl::MetricsRegistry::Instance();
-      metrics.GetCounter("graph.nodes")->Add(graph_->size());
-      metrics.GetCounter("graph.bytes")->Add(graph_->TotalObjectBytes());
+    stats->tasks += walk.tasks.size() - 1;
+    if (complete) {
+      ReplayTask(walk.tasks[0].get(), nullptr, 0);
     }
-    return std::move(graph_);
+    auto graph = complete && !aborted_ ? Finish() : Fallback(stats);
+    stats->unbatched_reads += dbg_->target().reads() - reads_before - stats->batches;
+    return graph;
   }
 
  private:
-  void Warn(std::string message) { in_->warnings_.push_back(std::move(message)); }
+  using InternKey = BoxMemo::InternKey;
 
-  vl::Status LimitError() { return vl::FailedPreconditionError("box limit exceeded"); }
+  vl::StatusOr<std::unique_ptr<ViewGraph>> Finish() {
+    // Memo updates are applied once the run is known to stand.
+    for (auto& [key, memo] : memo_updates_) {
+      if (memo.has_value()) {
+        in_->memo_[key] = std::move(*memo);
+      } else {
+        in_->memo_.erase(key);
+      }
+    }
+    in_->memo_replays_ += replays_;
+    in_->memo_misses_ += misses_;
+    if (vl::Tracer::Instance().enabled()) {
+      vl::MetricsRegistry& metrics = vl::MetricsRegistry::Instance();
+      if (replays_ != 0) {
+        metrics.GetCounter("viewcl.memo.replays")->Add(replays_);
+      }
+      if (misses_ != 0) {
+        metrics.GetCounter("viewcl.memo.misses")->Add(misses_);
+      }
+      metrics.GetCounter("graph.nodes")->Add(out_->size());
+      metrics.GetCounter("graph.bytes")->Add(out_->TotalObjectBytes());
+    }
+    return std::move(out_);
+  }
+
+  // A limit would trip: this run's assembly (and its memo updates) is
+  // dropped, and the recursive walk starts over on the now-warm cache.
+  vl::StatusOr<std::unique_ptr<ViewGraph>> Fallback(WalkStats* stats) {
+    stats->fallbacks++;
+    in_->warnings_.clear();
+    return RunState(in_).RunRecursive();
+  }
+
+  std::vector<Step> RootSteps() const {
+    std::vector<Step> steps;
+    for (const Binding& binding : in_->bindings_) {
+      steps.push_back({.kind = Step::Kind::kBinding, .binding = &binding});
+    }
+    for (const ExprPtr& plot : in_->plots_) {
+      steps.push_back({.kind = Step::Kind::kPlot, .plot = plot.get()});
+    }
+    return steps;
+  }
+
+  // True in a task step that has deferred a read: the step is undone and
+  // retried, so what it would warn is never seen (and not worth building).
+  bool Undone() const {
+    return task_ != nullptr && dbg_->session().deferrals() != step_deferrals_;
+  }
+
+  // Builds the warning only when it can be seen.
+  template <typename Message>
+  void WarnUnlessUndone(Message message) {
+    if (!Undone()) {
+      Warn(message());
+    }
+  }
+
+  void Warn(std::string message) {
+    if (events_ != nullptr) {
+      events_->push_back({.kind = Event::Kind::kWarn, .text = std::move(message)});
+    } else {
+      in_->warnings_.push_back(std::move(message));
+    }
+  }
+
+  // A limit the recursive walk would trip. During a batched assembly the
+  // records were taken without it, so the run starts over recursively.
+  vl::Status Limit(vl::Status status) {
+    if (walk_ != nullptr) {
+      aborted_ = true;
+    }
+    return status;
+  }
+
+  vl::Status LimitError() { return Limit(vl::FailedPreconditionError("box limit exceeded")); }
+
+  // Records the evaluation depth a task reached; outside tasks, checks it.
+  bool DepthOk(int depth) {
+    if (task_ != nullptr) {
+      task_->max_depth = std::max(task_->max_depth, depth);
+      return true;
+    }
+    return depth <= in_->limits_.max_depth;
+  }
+
+  // Creates a box in the current graph; in a task it is recorded for the
+  // assembly.
+  VBox* NewBox(std::string decl_name, std::string kernel_type, uint64_t addr,
+               size_t object_size) {
+    VBox* box = graph_->NewBox(std::move(decl_name), std::move(kernel_type), addr, object_size);
+    if (events_ != nullptr) {
+      events_->push_back({.kind = Event::Kind::kBox, .id = box->id()});
+    }
+    return box;
+  }
+
+  void AddRoot(uint64_t id) {
+    if (events_ != nullptr) {
+      events_->push_back({.kind = Event::Kind::kRoot, .id = id});
+    } else {
+      graph_->roots().push_back(id);
+    }
+  }
 
   void ResolveWellKnownOffsets() {
     dbg::TypeRegistry& reg = dbg_->types();
@@ -214,20 +430,24 @@ class Interpreter::RunState {
     return env;
   }
 
-  vl::StatusOr<Value> EvalC(const std::string& text, const Scope* scope) {
+  vl::StatusOr<Value> EvalC(const Expr* expr, const Scope* scope) {
+    const dbg::CExpression& parsed = in_->ParsedC(expr);
+    if (!parsed.ok()) {
+      return parsed.status();
+    }
     dbg::Environment env = BuildEnv(scope);
-    return dbg::EvalCExpression(ctx_, text, &env);
+    return parsed.Eval(ctx_, &env);
   }
 
   // --- expression evaluation ---
 
   vl::StatusOr<VclValue> EvalExpr(const Expr* expr, Scope* scope, int depth) {
-    if (depth > in_->limits_.max_depth) {
-      return vl::FailedPreconditionError("evaluation depth limit exceeded");
+    if (!DepthOk(depth)) {
+      return Limit(vl::FailedPreconditionError("evaluation depth limit exceeded"));
     }
     switch (expr->kind) {
       case Expr::Kind::kCExpr: {
-        VL_ASSIGN_OR_RETURN(Value v, EvalC(expr->text, scope));
+        VL_ASSIGN_OR_RETURN(Value v, EvalC(expr, scope));
         return VclValue::Dbg(v);
       }
       case Expr::Kind::kAtRef: {
@@ -377,36 +597,64 @@ class Interpreter::RunState {
     }
     const ForEachClause* fe = expr->for_each.get();
     std::vector<uint64_t> boxes;
+    const bool replayable = task_ != nullptr && fe->bindings.empty() && in_->PureYield(fe);
     for (const Value& element : elements) {
+      std::tuple<const Expr*, uint64_t, const dbg::Type*, int> key{
+          fe->yield.get(), element.is_lvalue() ? element.addr() : element.bits(),
+          element.type(), depth};
+      auto hit = replayable ? task_->yields.find(key) : decltype(task_->yields)::iterator{};
+      if (replayable && hit != task_->yields.end()) {
+        events_->insert(events_->end(), hit->second.events.begin(), hit->second.events.end());
+        AppendYield(hit->second.value, &boxes);
+        continue;
+      }
+      size_t first_event = events_ != nullptr ? events_->size() : 0;
+      uint64_t deferrals = dbg_->session().deferrals();
       Scope iter(scope);
       iter.Set(fe->var, VclValue::Dbg(element));
-      bool failed = false;
       for (const Binding& binding : fe->bindings) {
         auto v = EvalExpr(binding.value.get(), &iter, depth + 1);
         if (!v.ok()) {
-          Warn("forEach binding '" + binding.name + "': " + v.status().ToString());
+          WarnUnlessUndone([&] {
+            return "forEach binding '" + binding.name + "': " + v.status().ToString();
+          });
           iter.Set(binding.name, VclValue::Null());
-          failed = true;
         } else {
           iter.Set(binding.name, std::move(v).value());
         }
       }
-      (void)failed;
       auto yielded = EvalExpr(fe->yield.get(), &iter, depth + 1);
       if (!yielded.ok()) {
-        Warn("forEach yield: " + yielded.status().ToString());
+        WarnUnlessUndone([&] { return "forEach yield: " + yielded.status().ToString(); });
         continue;
       }
-      if (yielded->kind == VclValue::Kind::kBox) {
-        boxes.push_back(yielded->box);
-      } else if (yielded->kind == VclValue::Kind::kBoxSet) {
-        boxes.insert(boxes.end(), yielded->box_set.begin(), yielded->box_set.end());
+      if (replayable && dbg_->session().deferrals() == deferrals) {
+        // Only child references to replay: anything else (a box created,
+        // a warning) keeps the element evaluated on every attempt.
+        bool children_only = true;
+        for (size_t i = first_event; i < events_->size(); ++i) {
+          children_only = children_only && (*events_)[i].kind == Event::Kind::kChild;
+        }
+        if (children_only) {
+          task_->yields.emplace(
+              key, Task::Yield{*yielded, std::vector<Event>(events_->begin() + first_event,
+                                                             events_->end())});
+        }
       }
-      // kNull yields are skipped (e.g. empty maple slots).
+      AppendYield(*yielded, &boxes);
     }
     VclValue result = VclValue::BoxSet(std::move(boxes));
     result.set_kind = kind;
     return result;
+  }
+
+  static void AppendYield(const VclValue& yielded, std::vector<uint64_t>* boxes) {
+    if (yielded.kind == VclValue::Kind::kBox) {
+      boxes->push_back(yielded.box);
+    } else if (yielded.kind == VclValue::Kind::kBoxSet) {
+      boxes->insert(boxes->end(), yielded.box_set.begin(), yielded.box_set.end());
+    }
+    // kNull yields are skipped (e.g. empty maple slots).
   }
 
   vl::StatusOr<uint64_t> ArgAddr(const std::vector<VclValue>& args, const char* what) {
@@ -416,30 +664,40 @@ class Interpreter::RunState {
     return ObjectAddr(args[0].dbg);
   }
 
+  // A pointer an adapter follows. In a task, a pointer the next batch serves
+  // reads as null: the walk goes on through the rest of the structure, so
+  // the level's batch learns as much as it can (a list yields the prefix
+  // walked so far, a tree skips the subtree).
+  vl::StatusOr<uint64_t> ReadLink(uint64_t addr) {
+    auto link = ReadPtr(addr);
+    if (!link.ok() && task_ != nullptr && dbg::ReadSession::IsDeferred(link.status())) {
+      return uint64_t{0};
+    }
+    return link;
+  }
+
+  vl::StatusOr<std::vector<Value>> WalkChain(uint64_t first_ptr, uint64_t next_off,
+                                             uint64_t stop, const char* node_type_name) {
+    std::vector<Value> out;
+    const Type* node_type = dbg_->types().FindByName(node_type_name);
+    VL_ASSIGN_OR_RETURN(uint64_t node, ReadLink(first_ptr));
+    while (node != 0 && node != stop && out.size() < in_->limits_.max_container_elems) {
+      out.push_back(Value::MakeLValue(node_type, node));
+      VL_ASSIGN_OR_RETURN(node, ReadLink(node + next_off));
+    }
+    return out;
+  }
+
   vl::StatusOr<std::vector<Value>> WalkList(const std::vector<VclValue>& args) {
     vl::ScopedSpan span("viewcl.adapter.list");
     VL_ASSIGN_OR_RETURN(uint64_t head, ArgAddr(args, "List"));
-    std::vector<Value> out;
-    const Type* node_type = dbg_->types().FindByName("list_head");
-    VL_ASSIGN_OR_RETURN(uint64_t node, ReadPtr(head + off_list_next_));
-    while (node != 0 && node != head && out.size() < in_->limits_.max_container_elems) {
-      out.push_back(Value::MakeLValue(node_type, node));
-      VL_ASSIGN_OR_RETURN(node, ReadPtr(node + off_list_next_));
-    }
-    return out;
+    return WalkChain(head + off_list_next_, off_list_next_, head, "list_head");
   }
 
   vl::StatusOr<std::vector<Value>> WalkHList(const std::vector<VclValue>& args) {
     vl::ScopedSpan span("viewcl.adapter.hlist");
     VL_ASSIGN_OR_RETURN(uint64_t head, ArgAddr(args, "HList"));
-    std::vector<Value> out;
-    const Type* node_type = dbg_->types().FindByName("hlist_node");
-    VL_ASSIGN_OR_RETURN(uint64_t node, ReadPtr(head + off_hlist_first_));
-    while (node != 0 && out.size() < in_->limits_.max_container_elems) {
-      out.push_back(Value::MakeLValue(node_type, node));
-      VL_ASSIGN_OR_RETURN(node, ReadPtr(node + off_hnode_next_));
-    }
-    return out;
+    return WalkChain(head + off_hlist_first_, off_hnode_next_, 0, "hlist_node");
   }
 
   vl::StatusOr<std::vector<Value>> WalkRbTree(const std::vector<VclValue>& args) {
@@ -459,7 +717,7 @@ class Interpreter::RunState {
     } else {
       root_addr = cursor.is_lvalue() ? cursor.addr() : cursor.bits();
     }
-    VL_ASSIGN_OR_RETURN(uint64_t node, ReadPtr(root_addr + off_rbroot_node_));
+    VL_ASSIGN_OR_RETURN(uint64_t node, ReadLink(root_addr + off_rbroot_node_));
     // Iterative in-order traversal with an explicit stack of node addresses.
     std::vector<Value> out;
     const Type* node_type = dbg_->types().FindByName("rb_node");
@@ -468,7 +726,7 @@ class Interpreter::RunState {
            out.size() < in_->limits_.max_container_elems) {
       while (node != 0) {
         stack.push_back(node);
-        VL_ASSIGN_OR_RETURN(node, ReadPtr(node + off_rb_left_));
+        VL_ASSIGN_OR_RETURN(node, ReadLink(node + off_rb_left_));
         if (stack.size() > 4096) {
           return vl::EvalError("RBTree: runaway traversal");
         }
@@ -479,7 +737,7 @@ class Interpreter::RunState {
       uint64_t current = stack.back();
       stack.pop_back();
       out.push_back(Value::MakeLValue(node_type, current));
-      VL_ASSIGN_OR_RETURN(node, ReadPtr(current + off_rb_right_));
+      VL_ASSIGN_OR_RETURN(node, ReadLink(current + off_rb_right_));
     }
     return out;
   }
@@ -525,17 +783,21 @@ class Interpreter::RunState {
   }
 
   vl::Status WalkRadixNode(uint64_t node, std::vector<Value>* out) {
-    VL_ASSIGN_OR_RETURN(uint64_t shift, dbg_->session().ReadUnsigned(node + off_radix_shift_, 1));
+    auto shift = dbg_->session().ReadUnsigned(node + off_radix_shift_, 1);
+    if (!shift.ok()) {  // in a task, a node the next batch serves is skipped
+      return task_ != nullptr && dbg::ReadSession::IsDeferred(shift.status()) ? vl::Status::Ok()
+                                                                              : shift.status();
+    }
     for (int i = 0; i < vkern::kRadixTreeMapSize; ++i) {
       if (out->size() >= in_->limits_.max_container_elems) {
         return vl::Status::Ok();
       }
       VL_ASSIGN_OR_RETURN(uint64_t slot,
-                          ReadPtr(node + off_radix_slots_ + static_cast<uint64_t>(i) * 8));
+                          ReadLink(node + off_radix_slots_ + static_cast<uint64_t>(i) * 8));
       if (slot == 0) {
         continue;
       }
-      if (shift == 0) {
+      if (*shift == 0) {
         out->push_back(
             Value::MakePointer(dbg_->types().PointerTo(dbg_->types().void_type()), slot));
       } else {
@@ -549,7 +811,7 @@ class Interpreter::RunState {
     vl::ScopedSpan span("viewcl.adapter.xarray");
     VL_ASSIGN_OR_RETURN(uint64_t root, ArgAddr(args, "XArray"));
     std::vector<Value> out;
-    VL_ASSIGN_OR_RETURN(uint64_t rnode, ReadPtr(root + off_radix_rnode_));
+    VL_ASSIGN_OR_RETURN(uint64_t rnode, ReadLink(root + off_radix_rnode_));
     if (rnode != 0) {
       VL_RETURN_IF_ERROR(WalkRadixNode(rnode, &out));
     }
@@ -564,20 +826,20 @@ class Interpreter::RunState {
     uint64_t pivot_off = arange ? off_ma64_pivot_ : off_mr64_pivot_;
     uint64_t slot_off = arange ? off_ma64_slot_ : off_mr64_slot_;
     uint32_t pivots = arange ? vkern::kMapleArange64Slots - 1 : vkern::kMapleRange64Slots - 1;
-    uint64_t prev_pivot = 0;
     for (uint32_t i = 0; i <= pivots; ++i) {
       if (out->size() >= in_->limits_.max_container_elems) {
         return vl::Status::Ok();
       }
       uint64_t slot_max = max;
       if (i < pivots) {
-        VL_ASSIGN_OR_RETURN(slot_max,
-                            dbg_->session().ReadUnsigned(node + pivot_off + i * 8ull, 8));
+        // A pivot the next batch serves reads as the terminator: the walk of
+        // this node ends early, never wider.
+        VL_ASSIGN_OR_RETURN(slot_max, ReadLink(node + pivot_off + i * 8ull));
         if (slot_max == 0 || slot_max >= max) {
           slot_max = max;  // terminator: this is the last slot
         }
       }
-      VL_ASSIGN_OR_RETURN(uint64_t entry, ReadPtr(node + slot_off + i * 8ull));
+      VL_ASSIGN_OR_RETURN(uint64_t entry, ReadLink(node + slot_off + i * 8ull));
       if (entry != 0) {
         if (leaf) {
           out->push_back(
@@ -589,8 +851,6 @@ class Interpreter::RunState {
       if (slot_max == max) {
         break;
       }
-      prev_pivot = slot_max;
-      (void)prev_pivot;
     }
     return vl::Status::Ok();
   }
@@ -599,7 +859,7 @@ class Interpreter::RunState {
     vl::ScopedSpan span("viewcl.adapter.mapletree");
     VL_ASSIGN_OR_RETURN(uint64_t tree, ArgAddr(args, "MapleTree"));
     std::vector<Value> out;
-    VL_ASSIGN_OR_RETURN(uint64_t root, ReadPtr(tree + off_mt_root_));
+    VL_ASSIGN_OR_RETURN(uint64_t root, ReadLink(tree + off_mt_root_));
     if (root == 0) {
       return out;
     }
@@ -709,8 +969,11 @@ class Interpreter::RunState {
 
   vl::StatusOr<VclValue> InstantiateBox(const BoxDecl* decl, Value object, Scope* lexical,
                                         int depth) {
+    if (task_ != nullptr) {
+      return DeferBox(decl, object, lexical, depth);
+    }
     if (depth > in_->limits_.max_depth) {
-      return vl::FailedPreconditionError("box nesting limit exceeded");
+      return Limit(vl::FailedPreconditionError("box nesting limit exceeded"));
     }
     if (graph_->size() >= in_->limits_.max_boxes) {
       return LimitError();
@@ -742,20 +1005,14 @@ class Interpreter::RunState {
       if (found != in_->memo_.end()) {
         uint64_t id = TryReplayMemo(found->second);
         if (id != kNoBox) {
-          in_->memo_replays_++;
-          if (vl::Tracer::Instance().enabled()) {
-            vl::MetricsRegistry::Instance().GetCounter("viewcl.memo.replays")->Add();
-          }
+          replays_++;
           return VclValue::Box(id);
         }
         // Stale or no longer replayable: fall through to re-extract (which
         // recaptures a fresh snapshot below).
-        in_->memo_.erase(found);
+        memo_updates_.emplace_back(key, std::nullopt);
       }
-      in_->memo_misses_++;
-      if (vl::Tracer::Instance().enabled()) {
-        vl::MetricsRegistry::Instance().GetCounter("viewcl.memo.misses")->Add();
-      }
+      misses_++;
     }
     size_t window_start = graph_->size();
     uint64_t capture_epoch = 0;
@@ -765,55 +1022,425 @@ class Interpreter::RunState {
       memo_scope.emplace(&dbg_->session());
     }
 
-    VBox* box = graph_->NewBox(decl->name, decl->kernel_type, addr, object_size);
+    VBox* box = NewBox(decl->name, decl->kernel_type, addr, object_size);
     if (!is_virtual && in_->limits_.intern_boxes) {
       interned_[std::make_pair(decl, addr)] = box->id();
       intern_by_id_[box->id()] = std::make_pair(decl, addr);
     }
-    // Attribute every read below to the kernel type being instantiated
-    // (virtual boxes keep the enclosing box's tag), and pull the whole
-    // object into the block cache up front: the member walk below then
-    // rides ceil(size/block) transport round trips instead of one per field.
-    // Under tracing, a per-kernel-type span ("viewcl.box.task_struct") makes
-    // the member walk attributable in the explain tree.
-    std::optional<vl::ScopedNamedSpan> box_span;
-    std::optional<dbg::ReadSession::TagScope> read_tag;
-    if (!is_virtual) {
-      if (vl::Tracer::Instance().enabled()) {
-        box_span.emplace("viewcl.box." + decl->kernel_type);
-      }
-      read_tag.emplace(&dbg_->session(), decl->kernel_type.c_str());
-      dbg_->session().PrefetchObject(addr, type);
-    }
-
-    // Box scope: @this plus box-level where bindings.
-    Scope box_scope(lexical);
-    if (!is_virtual && type != nullptr) {
-      box_scope.Set("this", VclValue::Dbg(Value::MakeLValue(type, addr)));
-    }
-    for (const Binding& binding : decl->where) {
-      auto v = EvalExpr(binding.value.get(), &box_scope, depth + 1);
-      if (!v.ok()) {
-        Warn("where '" + binding.name + "' in " + decl->name + ": " + v.status().ToString());
-        box_scope.Set(binding.name, VclValue::Null());
-      } else {
-        RecordMember(box, binding.name, *v);
-        box_scope.Set(binding.name, std::move(v).value());
+    // A batched walk recorded this box as a task: replay its record.
+    Task* record = nullptr;
+    if (!is_virtual && walk_ != nullptr) {
+      auto found = walk_->index.find(std::make_pair(decl, addr));
+      if (found != walk_->index.end() && found->second->done && !found->second->memo) {
+        record = found->second;
       }
     }
-
-    for (const ViewDecl& view_decl : decl->views) {
-      ViewInstance view;
-      view.name = view_decl.name;
-      Scope view_scope(&box_scope);
-      VL_RETURN_IF_ERROR(
-          EvalViewInto(decl, &view_decl, &view_scope, box, &view, depth));
-      box->views().push_back(std::move(view));
+    if (record != nullptr) {
+      ReplayTask(record, box, depth);
+      if (aborted_) {
+        return LimitError();
+      }
+    } else {
+      // Attribute every read below to the kernel type being instantiated
+      // (virtual boxes keep the enclosing box's tag), and pull the whole
+      // object into the block cache up front: the member walk below then
+      // rides ceil(size/block) transport round trips instead of one per
+      // field. Under tracing, a per-kernel-type span
+      // ("viewcl.box.task_struct") makes the member walk attributable in the
+      // explain tree.
+      std::optional<vl::ScopedNamedSpan> box_span;
+      std::optional<dbg::ReadSession::TagScope> read_tag;
+      if (!is_virtual) {
+        if (vl::Tracer::Instance().enabled()) {
+          box_span.emplace("viewcl.box." + decl->kernel_type);
+        }
+        read_tag.emplace(&dbg_->session(), decl->kernel_type.c_str());
+        dbg_->session().PrefetchObject(addr, type);
+      }
+      VL_RETURN_IF_ERROR(EvalBody(decl, box, lexical, type, depth));
     }
     if (memoize) {
       CaptureMemo(decl, addr, window_start, capture_epoch, memo_scope->Finish());
     }
     return VclValue::Box(box->id());
+  }
+
+  static std::vector<ViewInstance> EmptyViews(const BoxDecl* decl) {
+    std::vector<ViewInstance> views(decl->views.size());
+    for (size_t i = 0; i < views.size(); ++i) {
+      views[i].name = decl->views[i].name;
+    }
+    return views;
+  }
+
+  // Evaluates a box body (where bindings, then every view) into `box`.
+  vl::Status EvalBody(const BoxDecl* decl, VBox* box, Scope* lexical, const Type* type,
+                      int depth) {
+    Scope box_scope(lexical);
+    if (!box->is_virtual() && type != nullptr) {
+      box_scope.Set("this", VclValue::Dbg(Value::MakeLValue(type, box->addr())));
+    }
+    std::vector<ViewInstance> views = EmptyViews(decl);
+    std::optional<Scope> view_scope;
+    int current_view = -1;
+    for (const Step& step : in_->StepsOf(decl)) {
+      if (step.view != current_view) {
+        current_view = step.view;
+        view_scope.emplace(&box_scope);
+      }
+      if (step.kind == Step::Kind::kBadView) {
+        views.resize(step.view);
+        box->views() = std::move(views);
+        return vl::EvalError(step.error);
+      }
+      Scope* scope = step.view < 0 ? &box_scope : &*view_scope;
+      EvalStep(step, scope, &box->members(), step.view < 0 ? nullptr : &views[step.view],
+               decl, depth);
+    }
+    box->views() = std::move(views);
+    return vl::Status::Ok();
+  }
+
+  // One step of the top level or of a box body. `members` and `out` receive
+  // what the step writes to the box; `depth` is the box's instantiation
+  // depth (0 at the top level).
+  void EvalStep(const Step& step, Scope* scope, std::map<std::string, MemberValue>* members,
+                ViewInstance* out, const BoxDecl* decl, int depth) {
+    switch (step.kind) {
+      case Step::Kind::kPlot: {
+        auto value = EvalExpr(step.plot, scope, 0);
+        if (!value.ok()) {
+          WarnUnlessUndone([&] { return "plot: " + value.status().ToString(); });
+          return;
+        }
+        switch (value->kind) {
+          case VclValue::Kind::kBox:
+            AddRoot(value->box);
+            break;
+          case VclValue::Kind::kBoxSet:
+            AddRoot(MakeContainerBox("plot", value->box_set, value->set_kind));
+            break;
+          case VclValue::Kind::kRawSet:
+            AddRoot(
+                MakeContainerBox("plot", MakeRawBoxes("item", value->raw_set), value->set_kind));
+            break;
+          default:
+            Warn("plot produced no boxes");
+        }
+        return;
+      }
+      case Step::Kind::kBinding:
+      case Step::Kind::kBoxWhere:
+      case Step::Kind::kViewWhere: {
+        const Binding& binding = *step.binding;
+        bool top = step.kind == Step::Kind::kBinding;
+        auto v = EvalExpr(binding.value.get(), scope, top ? 0 : depth + 1);
+        if (!v.ok()) {
+          WarnUnlessUndone([&] {
+            return (top ? "binding '" : "where '") + binding.name +
+                   (step.kind == Step::Kind::kBoxWhere ? "' in " + decl->name : "'") + ": " +
+                   v.status().ToString();
+          });
+          scope->Set(binding.name, VclValue::Null());
+        } else {
+          if (!top) {
+            RecordMember(members, binding.name, *v);
+          }
+          scope->Set(binding.name, std::move(v).value());
+        }
+        return;
+      }
+      case Step::Kind::kItem:
+        EvalItem(*step.item, scope, decl->name, members, out, depth);
+        return;
+      case Step::Kind::kBadView:
+        return;  // EvalBody stops before it
+    }
+  }
+
+  // --- the batched walk ---
+
+  // A box reference inside a task: the child is queued as a task of its own
+  // and stands in the task's graph as a placeholder (its address and type
+  // are all the task's evaluation can observe of it). Virtual boxes are
+  // evaluated inline, as part of the task.
+  vl::StatusOr<VclValue> DeferBox(const BoxDecl* decl, Value object, Scope* lexical,
+                                  int depth) {
+    DepthOk(depth);
+    if (decl->kernel_type.empty()) {
+      VBox* box = NewBox(decl->name, decl->kernel_type, 0, 0);
+      VL_RETURN_IF_ERROR(EvalBody(decl, box, lexical, nullptr, depth));
+      return VclValue::Box(box->id());
+    }
+    uint64_t addr = object.is_lvalue() ? object.addr() : object.bits();
+    if (addr == 0) {
+      return VclValue::Null();
+    }
+    auto [it, inserted] = task_->placeholders.emplace(std::make_pair(decl, addr), 0);
+    if (inserted) {
+      it->second = graph_->NewBox(decl->name, decl->kernel_type, addr, 0)->id();
+      Enqueue(decl, addr);
+    }
+    events_->push_back(
+        {.kind = Event::Kind::kChild, .id = it->second, .decl = decl, .depth = depth});
+    return VclValue::Box(it->second);
+  }
+
+  void Enqueue(const BoxDecl* decl, uint64_t addr) {
+    auto [it, inserted] = walk_->index.emplace(std::make_pair(decl, addr), nullptr);
+    if (!inserted) {
+      return;
+    }
+    auto task = std::make_unique<Task>();
+    task->decl = decl;
+    task->addr = addr;
+    task->steps = &in_->StepsOf(decl);
+    task->results.resize(task->steps->size());
+    it->second = task.get();
+    if (MemoEnabled()) {
+      auto memo = in_->memo_.find(it->first);
+      if (memo != in_->memo_.end() && MemoClean(memo->second)) {
+        // The assembly replays the memo; its subtree needs no reads.
+        task->memo = true;
+        task->done = true;
+        walk_->boxes += memo->second.boxes.size() - 1;
+      }
+    }
+    walk_->boxes++;
+    if (!task->memo) {
+      walk_->queue.push_back(task.get());
+    }
+    walk_->tasks.push_back(std::move(task));
+  }
+
+  bool MemoClean(const BoxMemo& memo) {
+    dbg::ReadSession& session = dbg_->session();
+    (void)session.SyncEpoch();
+    for (uint64_t page : memo.pages) {
+      if (!session.RangeCleanSince(page, 1, memo.epoch)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // Runs every level: the level's tasks (and the tasks they discover) run
+  // with the session deferring misses, then one batch fetches what they
+  // recorded and the stopped tasks retry in the next level. False when the
+  // walk must give way to the recursive one.
+  bool WalkLevels(Walk* walk, WalkStats* stats) {
+    dbg::ReadSession& session = dbg_->session();
+    session.set_deferring(true);
+    const uint64_t evictions = session.cache_stats().evictions;
+    bool complete = true;
+    while (complete && !walk->queue.empty()) {
+      vl::ScopedSpan level_span("viewcl.batch");
+      stats->levels++;
+      size_t progress = walk->progress + walk->tasks.size();
+      std::vector<Task*> stopped;
+      // The queue grows as this level's tasks discover children: they run in
+      // this level too, so their objects join its batch.
+      for (size_t i = 0; i < walk->queue.size() && complete; ++i) {
+        RunTask(walk->queue[i]);
+        if (!walk->queue[i]->done) {
+          stopped.push_back(walk->queue[i]);
+        }
+        complete = walk->boxes < in_->limits_.max_boxes;  // else the limit would trip
+      }
+      dbg::ReadSession::SpanFetch fetch = session.FetchDeferred();
+      stats->batches += fetch.batches;
+      // A level that fetched nothing and got nowhere has stalled; one that
+      // evicted blocks may have dropped what a stopped task waits for.
+      complete = complete && session.cache_stats().evictions == evictions &&
+                 (stopped.empty() || fetch.fetched_blocks != 0 ||
+                  walk->progress + walk->tasks.size() != progress);
+      walk->queue = std::move(stopped);
+    }
+    session.set_deferring(false);
+    return complete;
+  }
+
+  // One attempt at a task: completed steps keep their results; the others
+  // run now. A step that deferred a read is undone (and, for a binding,
+  // leaves it unbound for the steps after it, which then only discover).
+  void RunTask(Task* task) {
+    dbg::ReadSession& session = dbg_->session();
+    const BoxDecl* decl = task->decl;
+    const Type* type = decl != nullptr ? dbg_->types().FindByName(decl->kernel_type) : nullptr;
+    if (++task->runs == 1 && decl != nullptr) {
+      task->local.NewBox(decl->name, decl->kernel_type, task->addr,
+                         type != nullptr ? type->size : 0);
+      session.PrefetchObject(task->addr, type);
+      if (type != nullptr && session.WouldDefer(task->addr, type->size)) {
+        walk_->progress++;
+        return;  // the object joins this level's batch; its steps read it
+      }
+    }
+    task_ = task;
+    graph_ = &task->local;
+    Scope box_scope;
+    std::optional<dbg::ReadSession::TagScope> read_tag;
+    if (decl != nullptr) {
+      read_tag.emplace(&session, decl->kernel_type.c_str());
+      if (type != nullptr) {
+        box_scope.Set("this", VclValue::Dbg(Value::MakeLValue(type, task->addr)));
+      }
+    }
+    // The pages an attempt reads go to the box's memo capture. A step that
+    // deferred reads no page its completed retry does not.
+    const bool track_pages = decl != nullptr && MemoEnabled();
+    if (track_pages) {
+      session.PushPageScope();
+    }
+    std::optional<Scope> view_scope;
+    int current_view = -1;
+    bool stopped = false;
+    bool unbound = false;  // a binding before this step deferred
+    for (size_t i = 0; i < task->steps->size(); ++i) {
+      const Step& step = (*task->steps)[i];
+      Task::Result& result = task->results[i];
+      if (step.view != current_view) {
+        current_view = step.view;
+        view_scope.emplace(&box_scope);
+      }
+      Scope* scope = step.view < 0 ? &box_scope : &*view_scope;
+      if (result.done) {
+        if (step.binds()) {
+          scope->Set(step.binding->name, result.value);
+        }
+        continue;
+      }
+      Task::Result attempt;
+      events_ = &attempt.events;
+      step_deferrals_ = session.deferrals();
+      EvalStep(step, scope, &attempt.members, &attempt.out, decl, 0);
+      events_ = nullptr;
+      if (Undone() || unbound) {
+        stopped = true;
+        if (step.binds()) {
+          unbound = true;
+          scope->Set(step.binding->name, VclValue::Null());
+        }
+        continue;
+      }
+      if (step.binds()) {
+        attempt.value = *scope->Find(step.binding->name);
+      }
+      attempt.done = true;
+      walk_->boxes += std::count_if(attempt.events.begin(), attempt.events.end(),
+                                    [](const Event& e) { return e.kind == Event::Kind::kBox; });
+      result = std::move(attempt);
+      walk_->progress++;
+    }
+    if (track_pages) {
+      std::vector<uint64_t> pages = session.PopPageScope();
+      task->pages.insert(pages.begin(), pages.end());
+    }
+    task->done = !stopped;
+    task_ = nullptr;
+    graph_ = out_.get();
+  }
+
+  // Replays a task's record into the graph at `depth`, as the recursive walk
+  // would evaluate it there: its boxes and warnings in evaluation order, each
+  // child instantiated (or found interned) where it is referenced.
+  void ReplayTask(Task* task, VBox* own, int depth) {
+    if (depth + task->max_depth > in_->limits_.max_depth) {
+      aborted_ = true;
+      return;
+    }
+    const size_t max_boxes = in_->limits_.max_boxes;
+    std::vector<uint64_t> ids(task->local.size(), kNoBox);
+    if (own != nullptr) {
+      ids[0] = own->id();
+    }
+    auto remap = [&ids](std::vector<ViewInstance>* views) {
+      for (ViewInstance& view : *views) {
+        for (LinkItem& link : view.links) {
+          link.target = link.target == kNoBox ? kNoBox : ids[link.target];
+        }
+        for (ContainerItem& container : view.containers) {
+          for (uint64_t& member : container.members) {
+            member = member == kNoBox ? kNoBox : ids[member];
+          }
+        }
+      }
+    };
+    std::vector<ViewInstance> views = own != nullptr ? EmptyViews(task->decl)
+                                                     : std::vector<ViewInstance>{};
+    for (size_t i = 0; i < task->results.size(); ++i) {
+      // Records are replayed once (the box is interned), so their contents
+      // move into the graph.
+      Task::Result& result = task->results[i];
+      for (const Event& event : result.events) {
+        switch (event.kind) {
+          case Event::Kind::kBox: {
+            if (graph_->size() >= max_boxes) {
+              aborted_ = true;
+              return;
+            }
+            VBox* src = task->local.box(event.id);
+            VBox* box = graph_->NewBox(src->decl_name(), src->kernel_type(), src->addr(),
+                                       src->object_size());
+            ids[event.id] = box->id();
+            box->members() = std::move(src->members());
+            box->views() = std::move(src->views());
+            break;
+          }
+          case Event::Kind::kChild: {
+            // InstantiateBox takes the type from the declaration.
+            Value object =
+                Value::MakeLValue(dbg_->types().void_type(), task->local.box(event.id)->addr());
+            auto child = InstantiateBox(event.decl, object, nullptr, depth + event.depth);
+            if (!child.ok() || aborted_) {
+              aborted_ = true;
+              return;
+            }
+            ids[event.id] = child->box;
+            break;
+          }
+          case Event::Kind::kWarn:
+            in_->warnings_.push_back(event.text);
+            break;
+          case Event::Kind::kRoot:
+            graph_->roots().push_back(ids[event.id]);
+            break;
+        }
+      }
+      if (graph_->size() >= max_boxes) {
+        aborted_ = true;
+        return;
+      }
+      // The step's boxes reference only ids its events (or earlier steps')
+      // assigned.
+      for (const Event& event : result.events) {
+        if (event.kind == Event::Kind::kBox) {
+          remap(&graph_->box(ids[event.id])->views());
+        }
+      }
+      if (own == nullptr) {
+        continue;
+      }
+      for (auto& [name, value] : result.members) {
+        own->members()[name] = std::move(value);
+      }
+      const Step& step = (*task->steps)[i];
+      if (step.kind == Step::Kind::kItem) {
+        ViewInstance& out = result.out;
+        ViewInstance& view = views[step.view];
+        std::move(out.texts.begin(), out.texts.end(), std::back_inserter(view.texts));
+        std::move(out.links.begin(), out.links.end(), std::back_inserter(view.links));
+        std::move(out.containers.begin(), out.containers.end(),
+                  std::back_inserter(view.containers));
+      }
+    }
+    if (own != nullptr) {
+      remap(&views);
+      own->views() = std::move(views);
+      // The record performed the box's own reads; their pages belong to the
+      // memo capture in progress.
+      dbg_->session().NotePages(std::vector<uint64_t>(task->pages.begin(), task->pages.end()));
+    }
   }
 
   // --- box memoization (incremental refresh) ---
@@ -824,12 +1451,8 @@ class Interpreter::RunState {
   // when the snapshot is stale (a touched page is dirty) or no longer
   // replayable (evaluation drift changed what is interned when).
   uint64_t TryReplayMemo(const BoxMemo& memo) {
-    dbg::ReadSession& session = dbg_->session();
-    (void)session.SyncEpoch();
-    for (uint64_t page : memo.pages) {
-      if (!session.RangeCleanSince(page, 1, memo.epoch)) {
-        return kNoBox;
-      }
+    if (!MemoClean(memo)) {
+      return kNoBox;
     }
     if (graph_->size() + memo.boxes.size() > in_->limits_.max_boxes) {
       return kNoBox;
@@ -873,7 +1496,7 @@ class Interpreter::RunState {
     }
     // The replay performed no reads; its page coverage still belongs to any
     // enclosing capture in progress.
-    session.NotePages(memo.pages);
+    dbg_->session().NotePages(memo.pages);
     return new_base;
   }
 
@@ -930,7 +1553,7 @@ class Interpreter::RunState {
         memo.interns.emplace_back(id - window_start, it->second);
       }
     }
-    in_->memo_[std::make_pair(decl, addr)] = std::move(memo);
+    memo_updates_.emplace_back(std::make_pair(decl, addr), std::move(memo));
   }
 
   bool NoteMemoRef(BoxMemo* memo, uint64_t target, size_t start, size_t end) {
@@ -948,40 +1571,10 @@ class Interpreter::RunState {
     return true;
   }
 
-  // Evaluates a view (after resolving its inheritance chain) into `out`.
-  vl::Status EvalViewInto(const BoxDecl* decl, const ViewDecl* view_decl, Scope* scope,
-                          VBox* box, ViewInstance* out, int depth) {
-    // Inherited views first (recursively).
-    if (!view_decl->parent.empty()) {
-      const ViewDecl* parent = nullptr;
-      for (const ViewDecl& candidate : decl->views) {
-        if (candidate.name == view_decl->parent) {
-          parent = &candidate;
-        }
-      }
-      if (parent == nullptr) {
-        return vl::EvalError("view :" + view_decl->name + " inherits unknown :" +
-                             view_decl->parent);
-      }
-      VL_RETURN_IF_ERROR(EvalViewInto(decl, parent, scope, box, out, depth));
-    }
-    for (const Binding& binding : view_decl->where) {
-      auto v = EvalExpr(binding.value.get(), scope, depth + 1);
-      if (!v.ok()) {
-        Warn("where '" + binding.name + "': " + v.status().ToString());
-        scope->Set(binding.name, VclValue::Null());
-      } else {
-        RecordMember(box, binding.name, *v);
-        scope->Set(binding.name, std::move(v).value());
-      }
-    }
-    for (const ItemDecl& item : view_decl->items) {
-      EvalItem(item, scope, box, out, depth);
-    }
-    return vl::Status::Ok();
-  }
+  // --- items ---
 
-  void EvalItem(const ItemDecl& item, Scope* scope, VBox* box, ViewInstance* out, int depth) {
+  void EvalItem(const ItemDecl& item, Scope* scope, const std::string& box_name,
+                std::map<std::string, MemberValue>* members, ViewInstance* out, int depth) {
     auto value = EvalExpr(item.value.get(), scope, depth + 1);
     if (!value.ok()) {
       if (item.kind == ItemDecl::Kind::kText) {
@@ -989,13 +1582,14 @@ class Interpreter::RunState {
       } else if (item.kind == ItemDecl::Kind::kLink) {
         out->links.push_back(LinkItem{item.name, kNoBox});
       }
-      Warn("item '" + item.name + "' in " + box->decl_name() + ": " +
-           value.status().ToString());
+      WarnUnlessUndone([&] {
+        return "item '" + item.name + "' in " + box_name + ": " + value.status().ToString();
+      });
       return;
     }
     switch (item.kind) {
       case ItemDecl::Kind::kText:
-        EvalTextItem(item, *value, box, out);
+        EvalTextItem(item, *value, members, out);
         return;
       case ItemDecl::Kind::kLink: {
         uint64_t target = kNoBox;
@@ -1022,7 +1616,7 @@ class Interpreter::RunState {
         } else if (value->kind == VclValue::Kind::kBox) {
           container.members.push_back(value->box);
         }
-        box->members()[item.name + ".size"] =
+        (*members)[item.name + ".size"] =
             MemberValue::Int(static_cast<int64_t>(container.members.size()));
         out->containers.push_back(std::move(container));
         return;
@@ -1030,11 +1624,11 @@ class Interpreter::RunState {
     }
   }
 
-  void EvalTextItem(const ItemDecl& item, const VclValue& value, VBox* box,
-                    ViewInstance* out) {
+  void EvalTextItem(const ItemDecl& item, const VclValue& value,
+                    std::map<std::string, MemberValue>* members, ViewInstance* out) {
     if (value.kind == VclValue::Kind::kNull) {
       out->texts.push_back(TextItem{item.name, "<null>"});
-      box->members()[item.name] = MemberValue::Null();
+      (*members)[item.name] = MemberValue::Null();
       return;
     }
     if (value.kind != VclValue::Kind::kDbg) {
@@ -1044,30 +1638,32 @@ class Interpreter::RunState {
     auto formatted = FormatDecorated(ctx_, &in_->emoji_, item.decorator, value.dbg);
     if (!formatted.ok()) {
       out->texts.push_back(TextItem{item.name, "?"});
-      Warn("text '" + item.name + "': " + formatted.status().ToString());
+      WarnUnlessUndone(
+          [&] { return "text '" + item.name + "': " + formatted.status().ToString(); });
       return;
     }
     out->texts.push_back(TextItem{item.name, formatted->display});
     if (formatted->is_string) {
-      box->members()[item.name] = MemberValue::Str(formatted->display);
+      (*members)[item.name] = MemberValue::Str(formatted->display);
     } else if (formatted->has_raw) {
-      box->members()[item.name] = MemberValue::Int(static_cast<int64_t>(formatted->raw_bits));
+      (*members)[item.name] = MemberValue::Int(static_cast<int64_t>(formatted->raw_bits));
     } else {
-      box->members()[item.name] = MemberValue::Str(formatted->display);
+      (*members)[item.name] = MemberValue::Str(formatted->display);
     }
   }
 
-  void RecordMember(VBox* box, const std::string& name, const VclValue& value) {
+  void RecordMember(std::map<std::string, MemberValue>* members, const std::string& name,
+                    const VclValue& value) {
     if (value.kind != VclValue::Kind::kDbg) {
       return;
     }
     const Value& v = value.dbg;
     if (v.type() != nullptr && v.IsNull() && !v.is_lvalue()) {
-      box->members()[name] = MemberValue::Null();
+      (*members)[name] = MemberValue::Null();
       return;
     }
     if (!v.is_lvalue() && v.type() != nullptr && v.type()->IsScalar()) {
-      box->members()[name] = MemberValue::Int(static_cast<int64_t>(v.bits()));
+      (*members)[name] = MemberValue::Int(static_cast<int64_t>(v.bits()));
     }
   }
 
@@ -1075,8 +1671,7 @@ class Interpreter::RunState {
   // and links-to-containers).
   uint64_t MakeContainerBox(const std::string& name, const std::vector<uint64_t>& members,
                             const std::string& kind = "") {
-    VBox* box =
-        graph_->NewBox(kind.empty() ? "<container:" + name + ">" : kind, "", 0, 0);
+    VBox* box = NewBox(kind.empty() ? "<container:" + name + ">" : kind, "", 0, 0);
     ViewInstance view;
     view.name = "default";
     ContainerItem container;
@@ -1093,10 +1688,11 @@ class Interpreter::RunState {
                                      const std::vector<Value>& values) {
     std::vector<uint64_t> ids;
     for (size_t i = 0; i < values.size(); ++i) {
-      if (graph_->size() >= in_->limits_.max_boxes) {
+      if (task_ == nullptr && graph_->size() >= in_->limits_.max_boxes) {
+        (void)LimitError();
         break;
       }
-      VBox* box = graph_->NewBox("<value>", "", 0, 0);
+      VBox* box = NewBox("<value>", "", 0, 0);
       ViewInstance view;
       view.name = "default";
       auto formatted = FormatDecorated(ctx_, &in_->emoji_, "", values[i]);
@@ -1114,11 +1710,26 @@ class Interpreter::RunState {
   Interpreter* in_;
   dbg::KernelDebugger* dbg_;
   dbg::EvalContext* ctx_;
-  std::unique_ptr<ViewGraph> graph_;
+  std::unique_ptr<ViewGraph> out_;  // the graph the run produces
+  ViewGraph* graph_;                // out_, or the running task's own graph
   std::map<std::pair<const BoxDecl*, uint64_t>, uint64_t> interned_;
   // Reverse intern map (box id -> key), so memo capture can name the shared
   // boxes a snapshot references and a future replay can resolve them.
   std::map<uint64_t, std::pair<const BoxDecl*, uint64_t>> intern_by_id_;
+
+  // Batched-walk state: the walk (during tasks and the assembly), the task
+  // running now, the event list of its running step, and whether the
+  // assembly met a limit the records were taken without.
+  Walk* walk_ = nullptr;
+  Task* task_ = nullptr;
+  std::vector<Event>* events_ = nullptr;
+  uint64_t step_deferrals_ = 0;  // session deferrals when the step started
+  bool aborted_ = false;
+
+  // Memo updates of this run (nullopt erases), applied in order by Finish().
+  std::vector<std::pair<InternKey, std::optional<BoxMemo>>> memo_updates_;
+  uint64_t replays_ = 0;
+  uint64_t misses_ = 0;
 
   size_t off_list_next_ = 0;
   size_t off_hlist_first_ = 0;
@@ -1145,6 +1756,109 @@ Interpreter::Interpreter(dbg::KernelDebugger* debugger, InterpLimits limits)
     : debugger_(debugger), limits_(limits) {}
 
 Interpreter::~Interpreter() = default;
+
+namespace {
+
+// True when `expr` reads no variable but `var` (globals and memory aside).
+bool DependsOnlyOn(const Expr* expr, const std::string& var) {
+  auto all = [&var](const std::vector<ExprPtr>& exprs) {
+    return std::all_of(exprs.begin(), exprs.end(),
+                       [&var](const ExprPtr& e) { return DependsOnlyOn(e.get(), var); });
+  };
+  if (expr == nullptr) {
+    return true;
+  }
+  switch (expr->kind) {
+    case Expr::Kind::kAtRef:
+      return expr->text == var;
+    case Expr::Kind::kInt:
+    case Expr::Kind::kNull:
+      return true;
+    case Expr::Kind::kCExpr: {
+      const std::string& text = expr->text;
+      for (size_t at = text.find('@'); at != std::string::npos; at = text.find('@', at + 1)) {
+        size_t end = at + 1;
+        while (end < text.size() && (std::isalnum(static_cast<unsigned char>(text[end])) ||
+                                     text[end] == '_')) {
+          ++end;
+        }
+        if (text.substr(at + 1, end - at - 1) != var) {
+          return false;
+        }
+      }
+      return true;
+    }
+    case Expr::Kind::kBoxCtor:
+      return all(expr->kids);
+    case Expr::Kind::kSwitch:
+      return all(expr->kids) && DependsOnlyOn(expr->otherwise.get(), var) &&
+             std::all_of(expr->cases.begin(), expr->cases.end(), [&](const SwitchCase& sc) {
+               return all(sc.labels) && DependsOnlyOn(sc.body.get(), var);
+             });
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
+bool Interpreter::PureYield(const ForEachClause* clause) {
+  auto it = pure_yields_.find(clause);
+  if (it == pure_yields_.end()) {
+    it = pure_yields_.emplace(clause, DependsOnlyOn(clause->yield.get(), clause->var)).first;
+  }
+  return it->second;
+}
+
+const dbg::CExpression& Interpreter::ParsedC(const Expr* expr) {
+  auto it = parsed_.find(expr);
+  if (it == parsed_.end()) {
+    it = parsed_.emplace(expr, dbg::CExpression::Parse(expr->text)).first;
+  }
+  return it->second;
+}
+
+const std::vector<Interpreter::Step>& Interpreter::StepsOf(const BoxDecl* decl) {
+  auto it = steps_.find(decl);
+  if (it != steps_.end()) {
+    return it->second;
+  }
+  std::vector<Step> steps;
+  for (const Binding& binding : decl->where) {
+    steps.push_back({.kind = Step::Kind::kBoxWhere, .binding = &binding});
+  }
+  for (size_t index = 0; index < decl->views.size(); ++index) {
+    // The inheritance chain, parent first (the last view of the parent's
+    // name is the parent); an unknown parent is an error at the view's start.
+    std::vector<const ViewDecl*> chain = {&decl->views[index]};
+    while (!chain.back()->parent.empty() && chain.size() <= decl->views.size()) {
+      const ViewDecl* parent = nullptr;
+      for (const ViewDecl& candidate : decl->views) {
+        parent = candidate.name == chain.back()->parent ? &candidate : parent;
+      }
+      if (parent == nullptr) {
+        break;
+      }
+      chain.push_back(parent);
+    }
+    int at = static_cast<int>(index);
+    if (!chain.back()->parent.empty()) {
+      steps.push_back({.kind = Step::Kind::kBadView, .view = at,
+                       .error = "view :" + chain.back()->name + " inherits unknown :" +
+                                chain.back()->parent});
+      continue;
+    }
+    for (auto view = chain.rbegin(); view != chain.rend(); ++view) {
+      for (const Binding& binding : (*view)->where) {
+        steps.push_back({.kind = Step::Kind::kViewWhere, .binding = &binding, .view = at});
+      }
+      for (const ItemDecl& item : (*view)->items) {
+        steps.push_back({.kind = Step::Kind::kItem, .item = &item, .view = at});
+      }
+    }
+  }
+  return steps_.emplace(decl, std::move(steps)).first->second;
+}
 
 namespace {
 
@@ -1238,12 +1952,6 @@ vl::Status Interpreter::Load(std::string_view source) {
   if (load_validator_ != nullptr) {
     VL_RETURN_IF_ERROR(load_validator_(program, source));
   }
-  // Plan gate: unlike the fail-fast validator, a refusal here still loads the
-  // chunk — it just pins the program to the classic interpretation path.
-  if (plan_gate_ != nullptr && !plan_blocked_ && !plan_gate_(program, source)) {
-    plan_blocked_ = true;
-  }
-  program_version_++;
 
   for (std::unique_ptr<BoxDecl>& decl : program.defines) {
     defines_[decl->name] = decl.get();
@@ -1263,45 +1971,24 @@ vl::Status Interpreter::Load(std::string_view source) {
 
 vl::StatusOr<std::unique_ptr<ViewGraph>> Interpreter::Run() {
   warnings_.clear();
-  MaybeRunPlan();
+  vl::ScopedSpan span("viewcl.eval");
   RunState state(this);
-  return state.Run();
-}
-
-void Interpreter::MaybeRunPlan() {
-  // Prefetch is only profitable through a block cache: every plan read must
-  // land somewhere the interpreter's identical read can hit.
-  if (!limits_.compile_plans || plan_blocked_ ||
-      !debugger_->session().cache_enabled()) {
-    return;
+  // The batched walk needs somewhere to hold a batch (a block cache), the
+  // interning that makes a task of each box, and box bodies that cannot fail
+  // as a whole (a broken view inheritance fails its box where referenced).
+  bool batched = debugger_->session().cache_enabled() && limits_.intern_boxes;
+  for (const auto& [name, decl] : defines_) {
+    for (const Step& step : StepsOf(decl)) {
+      batched = batched && step.kind != Step::Kind::kBadView;
+    }
   }
-  vl::ScopedSpan span("viewcl.plan");
-  vl::MetricsRegistry& metrics = vl::MetricsRegistry::Instance();
-  if (plan_ == nullptr || plan_version_ != program_version_) {
-    plan_ = CompilePlan(defines_, bindings_, plots_, debugger_);
-    plan_version_ = program_version_;
-    metrics.GetCounter("plan.compiles")->Add();
-  } else {
-    metrics.GetCounter("plan.cache_hits")->Add();
+  if (!batched) {
+    return state.RunRecursive();
   }
-  PlanExecOptions opts;
-  opts.max_boxes = limits_.max_boxes;
-  opts.max_container_elems = limits_.max_container_elems;
-  opts.workers = limits_.plan_workers;
-  opts.parallel_min = limits_.plan_parallel_min;
-  ExecutePlan(plan_.get(), debugger_, opts);
-}
-
-vl::Json Interpreter::PlanToJson() const {
-  if (plan_blocked_) {
-    vl::Json j = vl::Json::Object();
-    j["blocked"] = vl::Json::Bool(true);
-    return j;
-  }
-  if (plan_ == nullptr) {
-    return vl::Json::Null();
-  }
-  return plan_->ToJson();
+  WalkStats run;
+  auto graph = state.RunBatched(&run);
+  walk_stats_ += run;
+  return graph;
 }
 
 }  // namespace viewcl

@@ -6,6 +6,14 @@
 // front-end would generate. Boxes are interned by (declaration, address) so
 // cyclic kernel structures terminate; container adapters implement the
 // *distill* operation and anchored constructors implement container_of.
+//
+// With a block cache, Run() walks the object graph level by level
+// (docs/caching.md#the-extraction-walker): each box is a task evaluated with
+// the ReadSession deferring its cache misses, child boxes are queued as
+// tasks instead of recursed into, and each level's misses are fetched in one
+// vectored round trip before the stopped tasks retry. The graph is then
+// assembled in the recursive depth-first order, so box ids, warnings and
+// renders are exactly those of the recursive walk.
 
 #ifndef SRC_VIEWCL_INTERP_H_
 #define SRC_VIEWCL_INTERP_H_
@@ -38,24 +46,31 @@ struct InterpLimits {
   // epochs that prove a memo is still valid come from there), so default
   // sessions keep their exact classic behavior. Requires intern_boxes.
   bool memoize_boxes = true;
-  // Compiles the loaded program into an extraction plan and executes it as a
-  // batched prefetch pass before each interpretation (docs/caching.md
-  // #extraction-plans). Off by default at this layer so embedders with exact
-  // read-count expectations opt in; the serving layer defaults it on
-  // (SessionOptions::compile_plans). Only engages when the session's block
-  // cache is enabled — without a cache the prefetch would double-charge.
-  bool compile_plans = false;
-  // Wavefront decode parallelism for the plan executor (see PlanExecOptions).
-  int plan_workers = 4;
-  size_t plan_parallel_min = 64;
 };
 
-class ExtractionPlan;
+// The batched walker's accounting, summed over Run() calls
+// (docs/observability.md#stats-schema).
+struct WalkStats {
+  uint64_t runs = 0;       // Run() calls that took the batched walk
+  uint64_t levels = 0;     // walk levels (each ends in at most one batch)
+  uint64_t batches = 0;    // vectored round trips issued for the levels
+  uint64_t tasks = 0;      // box tasks, one per (declaration, address)
+  uint64_t retries = 0;    // task re-runs after a level's batch
+  // Round trips outside the batch path (exact-range fallbacks at unreadable
+  // blocks, reads of the recursive fallback). The walk's blind spot.
+  uint64_t unbatched_reads = 0;
+  uint64_t fallbacks = 0;  // runs that fell back to the recursive walk
+
+  WalkStats& operator+=(const WalkStats& other);
+  // {"runs", "levels", "batches", "tasks", "retries", "unbatched_reads",
+  //  "fallbacks"}
+  vl::Json ToJson() const;
+};
 
 class Interpreter {
  public:
   explicit Interpreter(dbg::KernelDebugger* debugger, InterpLimits limits = InterpLimits{});
-  ~Interpreter();  // out of line: ExtractionPlan is forward-declared
+  ~Interpreter();
 
   // Parses and accumulates a program chunk (definitions are remembered across
   // Load calls, so a prelude can be loaded before a figure program).
@@ -70,14 +85,6 @@ class Interpreter {
   using LoadValidator = std::function<vl::Status(const Program& program,
                                                  std::string_view source)>;
   void SetLoadValidator(LoadValidator validator) { load_validator_ = std::move(validator); }
-
-  // Plan gate: consulted per Load chunk when compile_plans is on. Returning
-  // false marks the program plan-blocked — every subsequent Run() skips plan
-  // execution and uses pure interpretation. The serving layer installs a
-  // linter-backed gate here so statically diagnosed programs never reach the
-  // speculative executor (they fall back to the classic path instead).
-  using PlanGate = std::function<bool(const Program& program, std::string_view source)>;
-  void SetPlanGate(PlanGate gate) { plan_gate_ = std::move(gate); }
 
   // Evaluates all pending top-level bindings and plot statements against the
   // current kernel state, producing a fresh graph. Can be called repeatedly;
@@ -99,17 +106,26 @@ class Interpreter {
   uint64_t memo_replays() const { return memo_replays_; }
   uint64_t memo_misses() const { return memo_misses_; }
 
-  // The compiled extraction plan for the current program, or null when plans
-  // are disabled/blocked or no Run() has happened since the last Load.
-  const ExtractionPlan* plan() const { return plan_.get(); }
-  // Plan DAG + last batch stats as JSON (`vctrl plan`). Null JSON when no
-  // plan is live; includes a "blocked" marker when the gate refused one.
-  vl::Json PlanToJson() const;
+  // The batched walker's accounting across this interpreter's lifetime.
+  const WalkStats& walk_stats() const { return walk_stats_; }
+  void ResetWalkStats() { walk_stats_ = WalkStats{}; }
 
  private:
   struct VclValue;
   class Scope;
   class RunState;
+  struct Step;
+  struct Task;
+  struct Walk;
+
+  // The evaluation steps of a box body (where bindings, then each view's
+  // inherited and own bindings and items), flattened once per declaration.
+  const std::vector<Step>& StepsOf(const BoxDecl* decl);
+  // The parsed form of a ${...} node, parsed on first use.
+  const dbg::CExpression& ParsedC(const Expr* expr);
+  // True when a forEach yield depends on nothing but its element, so the
+  // walker may replay it on a retry.
+  bool PureYield(const ForEachClause* clause);
 
   // Memoized extraction of one box subtree: a structural snapshot of the
   // boxes created while instantiating a (declaration, address) pair, plus
@@ -158,15 +174,13 @@ class Interpreter {
   uint64_t memo_replays_ = 0;
   uint64_t memo_misses_ = 0;
 
-  // Extraction-plan state. The program version bumps on every Load; Run()
-  // recompiles the plan lazily when the versions diverge (plan.compiles vs
-  // plan.cache_hits counters).
-  void MaybeRunPlan();
-  PlanGate plan_gate_;
-  bool plan_blocked_ = false;
-  uint64_t program_version_ = 0;
-  uint64_t plan_version_ = 0;
-  std::unique_ptr<ExtractionPlan> plan_;
+  // Per-interpreter caches keyed by AST node (the nodes live as long as the
+  // interpreter); the serving layer runs an engine under its shard lock.
+  std::map<const BoxDecl*, std::vector<Step>> steps_;
+  std::map<const Expr*, dbg::CExpression> parsed_;
+  std::map<const ForEachClause*, bool> pure_yields_;
+
+  WalkStats walk_stats_;
 };
 
 }  // namespace viewcl

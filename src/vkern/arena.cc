@@ -16,6 +16,9 @@ namespace {
 
 // Where glibc's operator new[] placed a fresh mapping's first byte (arena.h).
 constexpr size_t kBaseOffset = 16;
+// The largest buddy block (MAX_ORDER - 1 = 10 orders of 4 KiB pages): the
+// mapping starts on a multiple of it (arena.h).
+constexpr size_t kPlacementAlign = size_t{4} << 20;
 
 size_t HostPageSize() {
   static const size_t size = static_cast<size_t>(sysconf(_SC_PAGESIZE));
@@ -154,12 +157,24 @@ Arena::Arena(size_t size_bytes)
       host_page_(HostPageSize()),
       host_pages_((kBaseOffset + size_bytes + host_page_ - 1) / host_page_) {
   assert(size_bytes % kPageSize == 0 && "arena size must be page aligned");
-  void* map = mmap(nullptr, host_pages_ * host_page_, PROT_READ | PROT_WRITE,
+  // Over-map by one alignment unit, then trim both ends so the mapping
+  // starts on a kPlacementAlign boundary.
+  size_t len = host_pages_ * host_page_;
+  void* map = mmap(nullptr, len + kPlacementAlign, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (map == MAP_FAILED) {
     throw std::bad_alloc();
   }
-  map_ = static_cast<uint8_t*>(map);
+  uintptr_t raw = reinterpret_cast<uintptr_t>(map);
+  uintptr_t start = (raw + kPlacementAlign - 1) & ~uintptr_t{kPlacementAlign - 1};
+  if (start > raw) {
+    munmap(map, start - raw);
+  }
+  size_t tail = raw + len + kPlacementAlign - (start + len);
+  if (tail > 0) {
+    munmap(reinterpret_cast<void*>(start + len), tail);
+  }
+  map_ = reinterpret_cast<uint8_t*>(start);
   base_ = map_ + kBaseOffset;
 }
 

@@ -6,9 +6,13 @@
 // never reallocates.
 //
 // The arena is an anonymous private mapping, so simulated RAM that is never
-// touched never becomes resident. Its base sits 16 bytes into the first host
-// page, where glibc's operator new[] used to place it: every object keeps its
-// page offset, so every figure reads the same 256 B blocks.
+// touched never becomes resident. Its base sits 16 bytes past a 4 MiB
+// boundary: 16 bytes into a host page, where glibc's operator new[] used to
+// place it, so every object keeps its page offset and every figure reads the
+// same 256 B blocks; and at a fixed offset modulo the largest buddy block, so
+// the buddy allocator, which aligns blocks on absolute page frame numbers,
+// lays out every kernel booted from one seed identically wherever mmap puts
+// the mapping.
 //
 // Write log. Like KVM's dirty log for a guest, the arena can write-protect
 // itself so that the first write to each host page after a sync faults once

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "src/dbg/kernel_introspect.h"
@@ -227,6 +228,146 @@ TEST_F(CacheTest, CStringReadsThroughCache) {
   EXPECT_EQ(debugger.target().reads(), reads_before);
 }
 
+// --- deferred-miss mode (the batched extraction walker) ----------------------
+
+// A deferred read charges nothing: it records the blocks it needs and fails
+// with a status IsDeferred() recognizes.
+TEST_F(CacheTest, DeferredReadChargesNothingAndRecordsBlocks) {
+  ReadSession session(&target_, CacheConfig{256, 64});
+  session.set_deferring(true);
+  uint64_t value = 0;
+  vl::Status status = session.ReadBytes(0x1f8, &value, 16);  // spans two blocks
+  EXPECT_TRUE(ReadSession::IsDeferred(status)) << status.ToString();
+  EXPECT_EQ(session.deferrals(), 1u);
+  EXPECT_EQ(session.deferred_blocks(), 2u);
+  EXPECT_EQ(target_.reads(), 0u);
+  EXPECT_EQ(target_.clock().nanos(), 0u);
+  // Recording the same blocks again adds nothing to the batch.
+  EXPECT_TRUE(ReadSession::IsDeferred(session.ReadBytes(0x200, &value, 8)));
+  EXPECT_EQ(session.deferred_blocks(), 2u);
+  // Prefetches record without failing anything.
+  session.Prefetch(0x400, 512);
+  EXPECT_EQ(session.deferred_blocks(), 4u);
+  EXPECT_EQ(session.deferrals(), 2u);
+  EXPECT_EQ(target_.reads(), 0u);
+}
+
+// One FetchDeferred fetches every recorded block in one vectored round trip;
+// the deferred reads then hit.
+TEST_F(CacheTest, FetchDeferredFetchesThemAllInOneBatch) {
+  ReadSession session(&target_, CacheConfig{256, 64});
+  session.set_deferring(true);
+  uint64_t value = 0;
+  for (uint64_t addr : {0x100, 0x900, 0x3000}) {
+    EXPECT_TRUE(ReadSession::IsDeferred(session.ReadBytes(addr, &value, 8)));
+  }
+  ReadSession::SpanFetch fetch = session.FetchDeferred();
+  EXPECT_EQ(fetch.batches, 1u);
+  EXPECT_EQ(fetch.fetched_blocks, 3u);
+  EXPECT_EQ(session.deferred_blocks(), 0u);
+  EXPECT_EQ(target_.reads(), 1u);
+  EXPECT_EQ(target_.bytes_read(), 3u * 256);
+  const LatencyModel& model = target_.model();
+  EXPECT_EQ(target_.clock().nanos(), model.per_access_ns + 3 * 256 * model.per_byte_ns);
+  for (uint64_t addr : {0x100, 0x900, 0x3000}) {
+    uint64_t direct = 0;
+    ASSERT_TRUE(memory_.ReadBytes(addr, &direct, 8));
+    ASSERT_TRUE(session.ReadBytes(addr, &value, 8).ok());
+    EXPECT_EQ(value, direct);
+  }
+  EXPECT_EQ(target_.reads(), 1u);
+  // Nothing recorded, nothing fetched.
+  EXPECT_EQ(session.FetchDeferred().batches, 0u);
+}
+
+// A block a batch could not read is not deferred again: later reads of it
+// take the exact-range fallback, so a walker retrying them makes progress.
+TEST_F(CacheTest, UnreadableBlockDoesNotDeferForever) {
+  FlatMemory memory(1000);
+  Target target(&memory, LatencyModel::GdbQemu());
+  ReadSession session(&target, CacheConfig{256, 64});
+  session.set_deferring(true);
+  uint64_t value = 0;
+  EXPECT_TRUE(ReadSession::IsDeferred(session.ReadBytes(992, &value, 8)));
+  ReadSession::SpanFetch fetch = session.FetchDeferred();
+  EXPECT_EQ(fetch.batches, 1u);
+  EXPECT_EQ(fetch.fetched_blocks, 0u);
+  // Retried: the exact-range fallback, charged like a raw read.
+  uint64_t deferrals = session.deferrals();
+  ASSERT_TRUE(session.ReadBytes(992, &value, 8).ok());
+  EXPECT_EQ(session.deferrals(), deferrals);
+  EXPECT_EQ(session.cache_stats().uncached_reads, 1u);
+  uint64_t direct = 0;
+  ASSERT_TRUE(memory.ReadBytes(992, &direct, 8));
+  EXPECT_EQ(value, direct);
+  EXPECT_EQ(session.deferred_blocks(), 0u);
+}
+
+// The unreadable set belongs to one epoch: once memory moves, the block is
+// worth a batch again.
+TEST_F(CacheTest, EpochChangeClearsTheUnreadableSet) {
+  FlatMemory memory(1000);
+  Target target(&memory, LatencyModel::GdbQemu());
+  ReadSession session(&target, CacheConfig{256, 64});
+  session.set_deferring(true);
+  uint64_t value = 0;
+  EXPECT_TRUE(ReadSession::IsDeferred(session.ReadBytes(992, &value, 8)));
+  (void)session.FetchDeferred();
+  ASSERT_TRUE(session.ReadBytes(992, &value, 8).ok());  // fallback, no deferral
+
+  memory.Bump();
+  EXPECT_TRUE(ReadSession::IsDeferred(session.ReadBytes(992, &value, 8)));
+  EXPECT_EQ(session.deferred_blocks(), 1u);
+}
+
+// A flat memory that reports its readable range, like the kernel arena.
+class RangedMemory : public FlatMemory {
+ public:
+  RangedMemory(size_t size, uint64_t first) : FlatMemory(size), first_(first) {}
+  bool ReadBytes(uint64_t addr, void* out, size_t len) const override {
+    return addr >= first_ && FlatMemory::ReadBytes(addr, out, len);
+  }
+  std::vector<std::pair<uint64_t, uint64_t>> ReadableRanges() const override {
+    return {{first_, size()}};
+  }
+
+ private:
+  uint64_t first_;
+};
+
+// A block at the edge of readable memory is fetched clipped to its readable
+// bytes and cached like any other; reads past the edge still fail.
+TEST_F(CacheTest, EdgeBlocksCacheTheirReadableBytes) {
+  RangedMemory memory(1000, 16);  // readable [16, 1000): both edges mid-block
+  Target target(&memory, LatencyModel::GdbQemu());
+  ReadSession session(&target, CacheConfig{256, 64});
+  uint64_t value = 0;
+  ASSERT_TRUE(session.ReadBytes(16, &value, 8).ok());
+  ASSERT_TRUE(session.ReadBytes(992, &value, 8).ok());
+  EXPECT_EQ(session.cache_stats().uncached_reads, 0u);
+  EXPECT_EQ(session.cached_blocks(), 2u);
+  EXPECT_EQ(target.reads(), 2u);
+  EXPECT_EQ(target.bytes_read(), (256u - 16) + (1000u - 768));
+  // Cached: re-reads are free, and agree with memory.
+  uint64_t direct = 0;
+  ASSERT_TRUE(memory.ReadBytes(24, &direct, 8));
+  ASSERT_TRUE(session.ReadBytes(24, &value, 8).ok());
+  EXPECT_EQ(value, direct);
+  EXPECT_EQ(target.reads(), 2u);
+  // Past either edge: an error, as a raw read gives.
+  EXPECT_FALSE(session.ReadBytes(8, &value, 8).ok());
+  EXPECT_FALSE(session.ReadBytes(996, &value, 8).ok());
+  EXPECT_FALSE(target.ReadBytes(996, &value, 8).ok());
+
+  // Batched the same way.
+  ReadSession batched(&target, CacheConfig{256, 64});
+  batched.set_deferring(true);
+  EXPECT_TRUE(ReadSession::IsDeferred(batched.ReadBytes(16, &value, 8)));
+  EXPECT_EQ(batched.FetchDeferred().fetched_blocks, 1u);
+  ASSERT_TRUE(batched.ReadBytes(16, &value, 8).ok());
+  EXPECT_EQ(batched.cache_stats().uncached_reads, 0u);
+}
+
 // --- end-to-end: cache on vs off over real extractions ----------------------
 
 class CacheKernelTest : public vltest::WorkloadKernelTest {};
@@ -286,6 +427,36 @@ TEST_F(CacheKernelTest, TickCpuInvalidatesCachedExtraction) {
   ASSERT_TRUE(cold.ok());
   vision::AsciiRenderer renderer;
   EXPECT_EQ(renderer.Render(**refreshed), renderer.Render(**cold));
+}
+
+// fig8_2's zone descriptor sits in the arena's first block, which starts
+// before readable memory. Learned at attach, the arena's range lets that
+// block cache: a cold paint reads nothing outside the cache, renders like the
+// raw transport, and a second paint over unchanged memory reads nothing.
+TEST_F(CacheKernelTest, ArenaEdgeBlockCachesOnACachedSession) {
+  KernelDebugger cached(kernel_.get(), LatencyModel::GdbQemu());
+  KernelDebugger raw(kernel_.get(), LatencyModel::GdbQemu(), CacheConfig::Disabled());
+  vision::RegisterFigureSymbols(&cached, workload_.get());
+  vision::RegisterFigureSymbols(&raw, workload_.get());
+  const vision::FigureDef* figure = vision::FindFigure("fig8_2");
+  ASSERT_NE(figure, nullptr);
+  vision::AsciiRenderer renderer;
+
+  viewcl::Interpreter interp(&cached);
+  ASSERT_TRUE(interp.Load(figure->viewcl).ok());
+  auto cold = interp.Run();
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(cached.session().cache_stats().uncached_reads, 0u);
+  viewcl::Interpreter raw_interp(&raw);
+  auto expected = raw_interp.RunProgram(figure->viewcl);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(renderer.Render(**cold), renderer.Render(**expected));
+
+  uint64_t reads = cached.target().reads();
+  auto warm = interp.Run();
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(cached.target().reads(), reads);
+  EXPECT_EQ(renderer.Render(**warm), renderer.Render(**expected));
 }
 
 }  // namespace

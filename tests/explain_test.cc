@@ -185,9 +185,6 @@ class ExplainTest : public vltest::WorkloadKernelTest {
 // "(exact)" reconciliation extended to per-node attribution.
 TEST_F(ExplainTest, ExplainReconcilesWithClockForEveryFigure) {
   for (const vision::FigureDef& figure : vision::AllFigures()) {
-    if (std::string(figure.id) == "fig19_2") {
-      continue;  // merged with fig19_1, as in bench_table4
-    }
     SCOPED_TRACE(figure.id);
     ColdState();
     Plot(1, figure.id);
@@ -195,8 +192,10 @@ TEST_F(ExplainTest, ExplainReconcilesWithClockForEveryFigure) {
     EXPECT_NE(out.find("explain pane 1"), std::string::npos) << out;
     EXPECT_NE(out.find("(exact)"), std::string::npos) << out;
     EXPECT_EQ(out.find("MISMATCH"), std::string::npos) << out;
-    // The refresh itself was traced and is the tree's sole root.
+    // The refresh itself was traced and is the tree's sole root, and the
+    // walker's levels carry the batch charges.
     EXPECT_NE(out.find("pane.refresh"), std::string::npos) << out;
+    EXPECT_NE(out.find("viewcl.batch"), std::string::npos) << out;
   }
   // Explain leaves the tracer the way it found it (off).
   EXPECT_FALSE(Tracer::Instance().enabled());
@@ -223,15 +222,15 @@ TEST_F(ExplainTest, ExplainJsonReconcilesAndCarriesAllAttributionLevels) {
   ASSERT_NE(refresh, nullptr);
 
   // Every attribution level of the tentpole is present somewhere in the tree:
-  // ViewQL statement -> ViewCL definition -> adapter -> struct type -> reads,
+  // ViewQL statement -> ViewCL evaluation -> walk level -> batched reads,
   // with cache hit/miss bytes rolled up the spine.
   EXPECT_NE(out.find("\"viewql.select\""), std::string::npos) << out;
   EXPECT_NE(out.find("\"viewql.where\""), std::string::npos) << out;
   EXPECT_NE(out.find("\"viewql.update\""), std::string::npos) << out;
   EXPECT_NE(out.find("\"viewcl.parse\""), std::string::npos) << out;
   EXPECT_NE(out.find("\"viewcl.eval\""), std::string::npos) << out;
-  EXPECT_NE(out.find("\"viewcl.box.task_struct\""), std::string::npos) << out;
-  EXPECT_NE(out.find("\"dbg.read\""), std::string::npos) << out;
+  EXPECT_NE(out.find("\"viewcl.batch\""), std::string::npos) << out;
+  EXPECT_NE(out.find("\"dbg.read_vector\""), std::string::npos) << out;
   EXPECT_NE(out.find("\"cache.hit_bytes\""), std::string::npos) << out;
   EXPECT_NE(out.find("\"cache.miss_bytes\""), std::string::npos) << out;
 }

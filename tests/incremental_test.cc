@@ -299,6 +299,9 @@ TEST(PageJournalTest, RescanHashesOnlyWrittenPages) {
 TEST(PageJournalTest, ArenaBaseSitsSixteenBytesIntoAPage) {
   vkern::Kernel kernel;
   EXPECT_EQ(kernel.arena().base_addr() % vkern::kPageSize, 16u);
+  // And 16 bytes past a boundary of the largest buddy block, so the buddy
+  // allocator's absolute-pfn alignment lays every kernel out alike.
+  EXPECT_EQ(kernel.arena().base_addr() % (uint64_t{4} << 20), 16u);
 }
 
 // Arming the write log installs a process-wide SIGSEGV handler; it forwards
