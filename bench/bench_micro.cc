@@ -711,10 +711,11 @@ int CheckFlightOverhead() {
     std::optional<vserve::Client> client;
   };
   auto make_rig = [](bool recorder) -> Rig {
-    vserve::ServerConfig config;
-    config.flight_recorder = recorder;
     Rig rig;
-    rig.server = std::make_unique<vserve::Server>(config);
+    rig.server = std::make_unique<vserve::Server>();
+    if (!recorder) {
+      rig.server->flights().Disable();
+    }
     if (!rig.server->BootShard("serve", dbg::LatencyModel::GdbQemu()).ok()) {
       return {};
     }

@@ -12,7 +12,6 @@
 //
 //   $ ./interactive_debugger --demo
 //   $ ./interactive_debugger            # type 'help' for commands
-//   $ ./interactive_debugger --classic  # classic full-flush cache invalidation
 
 #include <cstdio>
 #include <cstring>
@@ -70,14 +69,16 @@ int Demo(vserve::DebuggerShell& shell, vkern::Kernel& kernel) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bool demo = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--demo") != 0) {
+      std::fprintf(stderr, "unknown argument '%s'; usage: %s [--demo]\n", argv[i], argv[0]);
+      return 2;
+    }
+    demo = true;
+  }
   std::printf("=== Visualinux-CPP interactive debugger ===\n");
   std::printf("booting the kernel and running the workload...\n\n");
-  bool demo = false;
-  bool classic = false;
-  for (int i = 1; i < argc; ++i) {
-    demo = demo || std::strcmp(argv[i], "--demo") == 0;
-    classic = classic || std::strcmp(argv[i], "--classic") == 0;
-  }
 
   // The vserve front end: boot the simulated kernel as a shard, then attach
   // one session. More clients could Connect to the same server and share its
@@ -88,11 +89,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "boot failed: %s\n", booted.ToString().c_str());
     return 1;
   }
-  vserve::SessionOptions options;  // serving defaults: incremental + dedup
-  if (classic) {
-    options = vserve::SessionOptions::Classic();
-  }
-  auto client = server.Connect(options);
+  auto client = server.Connect();  // serving defaults: incremental + dedup
   if (!client.ok()) {
     std::fprintf(stderr, "connect failed: %s\n", client.status().ToString().c_str());
     return 1;

@@ -33,6 +33,17 @@ size_t Log2(size_t pow2) {
 
 }  // namespace
 
+CacheConfig CacheConfig::Normalized() const {
+  CacheConfig config = *this;
+  if (config.block_bytes != 0) {
+    config.block_bytes = RoundUpPow2(config.block_bytes);
+    if (config.capacity_blocks == 0) {
+      config.capacity_blocks = 1;
+    }
+  }
+  return config;
+}
+
 vl::Json CacheStats::ToJson() const {
   vl::Json j = vl::Json::Object();
   j["hits"] = vl::Json::Int(static_cast<int64_t>(hits));
@@ -67,13 +78,7 @@ bool ReadSession::IsDeferred(const vl::Status& status) {
 }
 
 void ReadSession::Reconfigure(CacheConfig config) {
-  if (config.block_bytes != 0) {
-    config.block_bytes = RoundUpPow2(config.block_bytes);
-    if (config.capacity_blocks == 0) {
-      config.capacity_blocks = 1;
-    }
-  }
-  config_ = config;
+  config_ = config.Normalized();
   block_shift_ = config_.block_bytes != 0 ? Log2(config_.block_bytes) : 0;
   blocks_.clear();
   lru_.clear();

@@ -44,12 +44,10 @@
 
 namespace dbg {
 
-// NOTE: for client-facing code this struct is superseded by
-// vserve::SessionOptions (src/serve/options.h), which consolidates the cache
-// fields with the render/engine/dedup/admission knobs and validates the
-// combination fail-fast. CacheConfig remains the dbg-layer carrier that
-// SessionOptions lowers to (ToCacheConfig/FromCacheConfig); construct it
-// directly only when wiring a bare KernelDebugger without the serving layer.
+// NOTE: clients configure the cache through vserve::SessionOptions
+// (src/serve/options.h), which lowers to this struct (ToCacheConfig) and
+// validates it together with the serving knobs. Construct a CacheConfig
+// directly only to wire a bare KernelDebugger without the serving layer.
 struct CacheConfig {
   // Aligned fetch granularity in bytes (rounded up to a power of two).
   // 0 disables caching entirely: the session becomes a passthrough whose
@@ -77,6 +75,12 @@ struct CacheConfig {
     config.delta_invalidation = true;
     return config;
   }
+
+  // The form a ReadSession runs (and config() reports): block_bytes rounded
+  // up to a power of two, and a block cache holds at least one block.
+  // Compare configs in this form.
+  CacheConfig Normalized() const;
+  bool operator==(const CacheConfig&) const = default;
 };
 
 // Byte-level hit/miss accounting for one session. Field names follow the

@@ -4,19 +4,6 @@
 
 namespace vserve {
 
-SessionOptions SessionOptions::Classic() { return FromCacheConfig(dbg::CacheConfig{}); }
-
-SessionOptions SessionOptions::FromCacheConfig(const dbg::CacheConfig& config) {
-  SessionOptions options;
-  options.block_bytes = config.block_bytes;
-  options.capacity_blocks = config.capacity_blocks;
-  options.incremental = config.delta_invalidation;
-  options.max_dirty_ratio = config.max_dirty_ratio;
-  options.shared_engines = false;
-  options.coalesce = false;
-  return options;
-}
-
 dbg::CacheConfig SessionOptions::ToCacheConfig() const {
   dbg::CacheConfig config;
   config.block_bytes = block_bytes;
@@ -24,16 +11,6 @@ dbg::CacheConfig SessionOptions::ToCacheConfig() const {
   config.delta_invalidation = incremental;
   config.max_dirty_ratio = max_dirty_ratio;
   return config;
-}
-
-bool SameCacheConfig(const dbg::CacheConfig& a, const dbg::CacheConfig& b) {
-  return a.block_bytes == b.block_bytes && a.capacity_blocks == b.capacity_blocks &&
-         a.delta_invalidation == b.delta_invalidation &&
-         a.max_dirty_ratio == b.max_dirty_ratio;
-}
-
-bool SessionOptions::CacheCompatibleWith(const SessionOptions& other) const {
-  return SameCacheConfig(ToCacheConfig(), other.ToCacheConfig());
 }
 
 vl::DiagnosticList SessionOptions::Validate() const {

@@ -1,13 +1,10 @@
-// vserve session configuration (the serving layer's half of the API redesign).
-//
-// Before vserve there were three separate knobs controlling what a client's
-// refreshes cost: dbg::CacheConfig (block cache), CacheConfig::Incremental()
-// (dirty-log delta invalidation), and the pane layer's render digest cache.
-// SessionOptions consolidates all of them into one validated struct that a
-// client hands to Server::Connect. Validation is vlint-style fail-fast: every
-// invalid combination gets a stable rule ID (VS001...) and a one-line
-// diagnostic, and Connect refuses the session instead of silently "fixing"
-// the options.
+// vserve session configuration: the one way a client configures what its
+// refreshes cost. SessionOptions holds the block cache, delta invalidation,
+// render cache, engine, dedup and admission knobs in one validated struct
+// that the client hands to Server::Connect. Validation is vlint-style
+// fail-fast: every invalid combination gets a stable rule ID (VS001...) and a
+// one-line diagnostic, and Connect refuses the session instead of silently
+// "fixing" the options.
 
 #ifndef SRC_SERVE_OPTIONS_H_
 #define SRC_SERVE_OPTIONS_H_
@@ -22,36 +19,34 @@
 namespace vserve {
 
 struct SessionOptions {
-  // --- shared extraction cache (replaces direct dbg::CacheConfig use) ---
+  // --- shared extraction cache (lowered to dbg::CacheConfig) ---
   // Aligned fetch granularity of the shard's ReadSession; 0 disables block
   // caching entirely (every read is a raw transport round trip).
   size_t block_bytes = 256;
   // LRU capacity in blocks.
   size_t capacity_blocks = 4096;
-  // Dirty-log delta invalidation (the old CacheConfig::Incremental()): on a
-  // kernel mutation epoch, evict only blocks overlapping dirty pages. This is
-  // the serving default — multi-client dashboards live on incremental
-  // refresh.
+  // Dirty-log delta invalidation: on a kernel mutation epoch, evict only
+  // blocks overlapping dirty pages. This is the serving default —
+  // multi-client dashboards live on incremental refresh.
   bool incremental = true;
   // Above this fraction of dirty pages a full flush is cheaper than
   // block-wise eviction.
   double max_dirty_ratio = 0.5;
 
   // --- render ---
-  // Digest-keyed render memo per pane (the old per-pane render-cache
-  // behavior, now a session-level switch).
+  // Digest-keyed render memo per pane.
   bool render_cache = true;
 
   // --- extraction engines & request dedup ---
   // Per-program shard engines: ViewCL programs are loaded once per shard and
   // re-Run() on refresh, so interning/memo snapshots persist across refreshes
-  // and are shared by every session plotting the same figure. false restores
-  // the classic single-user semantics (a private interpreter that re-loads
-  // the program on every replot) — the compat path for pre-vserve shells.
+  // and are shared by every session plotting the same figure. false gives
+  // the session a private interpreter that re-loads the program on every
+  // replot: a from-scratch reference (vbench's oracle renders on it).
   bool shared_engines = true;
   // Coalesce identical concurrent work: refreshes of the same (figure,
   // epoch, backend) are served once and fanned out from the shard's result
-  // cache. false restores classic always-re-extract semantics.
+  // cache. false re-extracts on every refresh.
   bool coalesce = true;
   // Selects nothing: extraction batches whenever the shard has a block
   // cache (docs/caching.md#the-extraction-walker). Kept only because vbench
@@ -70,17 +65,10 @@ struct SessionOptions {
   // rejects with RESOURCE_EXHAUSTED.
   size_t max_queued = 16;
 
-  // The pre-vserve single-user defaults (classic CacheConfig, private
-  // engine, no dedup) — what DebuggerShell's compat constructor uses.
-  static SessionOptions Classic();
-  // Adopts a live ReadSession's CacheConfig (plus classic engine/dedup
-  // semantics), so attaching to an existing debugger never reconfigures it.
-  static SessionOptions FromCacheConfig(const dbg::CacheConfig& config);
-  // The cache fields as the dbg layer's config struct.
+  // The cache fields as the dbg layer's config struct. Two sessions may
+  // share a shard's ReadSession when their lowered configs are equal in
+  // normalized form (dbg::CacheConfig::Normalized).
   dbg::CacheConfig ToCacheConfig() const;
-  // True when both sets of cache fields agree — the requirement for two
-  // sessions to share one shard ReadSession.
-  bool CacheCompatibleWith(const SessionOptions& other) const;
 
   // Fail-fast diagnostics, stable rule IDs:
   //   VS001 error   incremental refresh requires a block cache (block_bytes>0)
@@ -94,9 +82,6 @@ struct SessionOptions {
   // ("error[VS003]: ...").
   std::string ValidationText() const;
 };
-
-// True when the two dbg-layer configs describe the same cache behavior.
-bool SameCacheConfig(const dbg::CacheConfig& a, const dbg::CacheConfig& b);
 
 }  // namespace vserve
 

@@ -14,9 +14,6 @@ const ServeResult* ResultCache::Find(const std::string& key) {
 }
 
 void ResultCache::Insert(const std::string& key, ServeResult result) {
-  if (capacity_ == 0) {
-    return;
-  }
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     it->second->result = std::move(result);
@@ -26,7 +23,7 @@ void ResultCache::Insert(const std::string& key, ServeResult result) {
   lru_.push_front(Entry{key, std::move(result)});
   entries_[key] = lru_.begin();
   stats_.insertions++;
-  while (entries_.size() > capacity_) {
+  while (entries_.size() > kCapacity) {
     entries_.erase(lru_.back().key);
     lru_.pop_back();
     stats_.evictions++;
@@ -41,7 +38,7 @@ void ResultCache::Clear() {
 vl::Json ResultCache::StatsToJson() const {
   vl::Json j = vl::Json::Object();
   j["entries"] = vl::Json::Int(static_cast<int64_t>(entries_.size()));
-  j["capacity"] = vl::Json::Int(static_cast<int64_t>(capacity_));
+  j["capacity"] = vl::Json::Int(static_cast<int64_t>(kCapacity));
   j["hits"] = vl::Json::Int(static_cast<int64_t>(stats_.hits));
   j["misses"] = vl::Json::Int(static_cast<int64_t>(stats_.misses));
   j["insertions"] = vl::Json::Int(static_cast<int64_t>(stats_.insertions));

@@ -48,7 +48,8 @@ struct ServeResult {
 // shard guards it with its cache mutex.
 class ResultCache {
  public:
-  explicit ResultCache(size_t capacity = 256) : capacity_(capacity) {}
+  // Results kept per shard: the dedup window.
+  static constexpr size_t kCapacity = 256;
 
   struct Stats {
     uint64_t hits = 0;
@@ -68,7 +69,6 @@ class ResultCache {
   void ResetStats() { stats_ = Stats{}; }
 
   size_t size() const { return entries_.size(); }
-  size_t capacity() const { return capacity_; }
   const Stats& stats() const { return stats_; }
   vl::Json StatsToJson() const;
 
@@ -78,7 +78,6 @@ class ResultCache {
     ServeResult result;
   };
 
-  size_t capacity_;
   std::list<Entry> lru_;  // front = most recently used
   std::unordered_map<std::string, std::list<Entry>::iterator> entries_;
   Stats stats_;

@@ -14,8 +14,6 @@ namespace internal {
 // share: the debugger (whose ReadSession block cache is the shared extraction
 // cache), the per-program ViewCL engines, and the refresh result cache.
 struct Shard {
-  explicit Shard(size_t cache_entries) : cache(cache_entries) {}
-
   std::string name;
   dbg::KernelDebugger* debugger = nullptr;  // owned_debugger.get() or borrowed
   std::unique_ptr<vkern::Kernel> kernel;        // BootShard shards only
@@ -113,8 +111,6 @@ viewcl::Interpreter* Session::classic_engine() {
   return classic_engine_.get();
 }
 
-viewcl::EmojiRegistry& Session::emoji() { return classic_engine()->emoji(); }
-
 vl::StatusOr<Session::PlotResult> Session::Plot(int pane, const std::string& program) {
   std::unique_ptr<viewcl::ViewGraph> graph;
   {
@@ -197,19 +193,9 @@ vl::Json Session::StatsToJson() const {
 }
 
 // ---------------------------------------------------------------------------
-// Client
-
-vl::StatusOr<Client> Client::Connect(Server* server, SessionOptions options) {
-  return server->Connect(std::move(options));
-}
-
-// ---------------------------------------------------------------------------
 // Server
 
 Server::Server(ServerConfig config) : config_(config), flights_(config.flight_records) {
-  if (!config_.flight_recorder) {
-    flights_.Disable();
-  }
   workers_.reserve(config_.workers);
   for (size_t i = 0; i < config_.workers; ++i) {
     // Worker slots are 1-based in flight records; 0 means inline execution.
@@ -244,7 +230,7 @@ vl::Status Server::AddShard(const std::string& name, dbg::KernelDebugger* debugg
   if (debugger == nullptr) {
     return vl::InvalidArgumentError("shard debugger must be non-null");
   }
-  auto shard = std::make_unique<internal::Shard>(config_.result_cache_entries);
+  auto shard = std::make_unique<internal::Shard>();
   shard->name = name;
   shard->debugger = debugger;
   // An adopted debugger may already have charged time; flights only account
@@ -262,7 +248,7 @@ vl::Status Server::AddShard(const std::string& name, dbg::KernelDebugger* debugg
 vl::Status Server::BootShard(const std::string& name, const dbg::LatencyModel& model,
                              int workload_steps) {
   VL_RETURN_IF_ERROR(ValidateShardName(name));
-  auto shard = std::make_unique<internal::Shard>(config_.result_cache_entries);
+  auto shard = std::make_unique<internal::Shard>();
   shard->name = name;
   shard->kernel = std::make_unique<vkern::Kernel>();
   vkern::WorkloadConfig workload_config;
@@ -339,11 +325,12 @@ vl::StatusOr<Client> Server::Connect(SessionOptions options) {
     round_robin_++;
   }
   // Sessions sharing a shard share its ReadSession, so their cache configs
-  // must agree. An empty shard adopts the newcomer's config; an occupied one
-  // refuses a mismatch (reconfiguring would flush caches out from under the
-  // sessions relying on them).
-  dbg::CacheConfig want = options.ToCacheConfig();
-  if (!SameCacheConfig(shard->debugger->session().config(), want)) {
+  // must agree, compared in the normalized form the ReadSession stores. An
+  // empty shard adopts the newcomer's config; an occupied one refuses a
+  // mismatch (reconfiguring would flush caches out from under the sessions
+  // relying on them).
+  dbg::CacheConfig want = options.ToCacheConfig().Normalized();
+  if (shard->debugger->session().config() != want) {
     if (shard->sessions > 0) {
       return vl::FailedPreconditionError(vl::StrFormat(
           "cache config conflicts with %zu active session(s) on shard '%s'; "
@@ -599,9 +586,8 @@ vl::StatusOr<std::unique_ptr<viewcl::ViewGraph>> Server::ReplotLocked(
     Session* session, const std::string& program) {
   session->last_warnings_.clear();
   if (!session->options_.shared_engines) {
-    // Classic semantics: one private interpreter that re-loads the program on
-    // every replot (exactly the pre-vserve DebuggerShell behavior, including
-    // binding accumulation across panes).
+    // One private interpreter that re-loads the program on every replot
+    // (bindings accumulate across panes): the from-scratch reference.
     viewcl::Interpreter* engine = session->classic_engine();
     uint64_t memo_before = engine->memo_replays();
     auto result = engine->RunProgram(program);
@@ -744,8 +730,8 @@ vl::StatusOr<ServeResult> Server::ExecuteRefresh(const Request& req) {
   out.violations = refreshed->violations;
   if (session->options_.coalesce) {
     // Capture the render so a coalesced duplicate can be served bytes, not
-    // just accounting. Classic sessions skip this to keep their render
-    // digest counters exactly as the pre-vserve shell left them.
+    // just accounting. Sessions without dedup skip it, so their render
+    // digest counters count only the renders they asked for.
     out.render = session->panes_.RenderPane(pane, options, backend);
   }
   uint64_t after = clock_now();

@@ -74,15 +74,11 @@ struct Shard;  // one simulated kernel + everything its sessions share
 struct ServerConfig {
   // Async refresh workers; 0 = inline execution on the submitting thread.
   size_t workers = 0;
-  // Per-shard refresh result cache capacity (dedup window).
-  size_t result_cache_entries = 256;
   // Flight-recorder ring capacity (completed per-request records retained).
+  // The recorder starts on; Server::flights().Disable() turns all stamping
+  // off (one relaxed-atomic check on the data path remains; see
+  // bench_micro's overhead guard).
   size_t flight_records = 512;
-  // Start with the flight recorder on. The recorder is bounded and cheap
-  // (one relaxed-atomic check on the data path when off; see bench_micro's
-  // overhead guard), so it defaults on; Server::flights().Disable() or this
-  // flag turn all stamping off.
-  bool flight_recorder = true;
 };
 
 // Handle to an async refresh submitted with Session::SubmitRefresh.
@@ -123,7 +119,7 @@ class Session {
     size_t boxes = 0;
     std::vector<std::string> warnings;
   };
-  // Extracts `program` through the shard engine (or this session's classic
+  // Extracts `program` through the shard engine (or this session's private
   // engine, per options) and installs the graph into `pane`.
   vl::StatusOr<PlotResult> Plot(int pane, const std::string& program);
   // Applies a ViewQL refinement to the pane (recorded; replayed on refresh).
@@ -152,12 +148,11 @@ class Session {
   // never use it inside a refresh already holding the shard.
   vision::PaneManager::ReplotFn MakeReplotFn();
 
+  // Never null: AddShard rejects a null debugger and BootShard owns one.
   dbg::KernelDebugger* debugger() const { return debugger_; }
   vision::PaneManager& panes() { return panes_; }
   vl::TimeSeriesRecorder& recorder() { return recorder_; }
   vl::BudgetRegistry& budgets() { return budgets_; }
-  // Emoji registry backing lint / vchat for this session.
-  viewcl::EmojiRegistry& emoji();
 
   // Virtual nanoseconds this session was actually charged (deduped refreshes
   // charge nothing — that is the point).
@@ -183,8 +178,7 @@ class Session {
   vl::TimeSeriesRecorder recorder_;
   vl::BudgetRegistry budgets_;
   vision::PaneManager panes_;
-  // Private interpreter for classic (non-shared-engine) sessions; also backs
-  // emoji() lazily for shared-engine sessions.
+  // Private interpreter of a session without shared engines.
   std::unique_ptr<viewcl::Interpreter> classic_engine_;
   // Engine warnings from the most recent replot through this session.
   std::vector<std::string> last_warnings_;
@@ -206,14 +200,11 @@ class Session {
   bool in_flight_ = false;
 };
 
-// Owning handle to a Session. Movable; the session disconnects (failing its
-// queued work, waiting out its in-flight request) when the handle goes away.
+// Owning handle to a Session, returned by Server::Connect. Movable; the
+// session disconnects (failing its queued work, waiting out its in-flight
+// request) when the handle goes away.
 class Client {
  public:
-  // Validates `options` (fail-fast, see SessionOptions::Validate), picks a
-  // shard, and attaches a new session to it.
-  static vl::StatusOr<Client> Connect(Server* server, SessionOptions options = SessionOptions{});
-
   Client(Client&&) = default;
   Client& operator=(Client&&) = default;
 
@@ -247,10 +238,11 @@ class Server {
   vkern::Kernel* shard_kernel(const std::string& name) const;      // BootShard shards only
   vkern::Workload* shard_workload(const std::string& name) const;  // BootShard shards only
 
-  // Connects a new session; SessionOptions::shard picks the shard ("" =
-  // round-robin). The shard's ReadSession must agree with the session's cache
-  // config: a mismatch reconfigures the shard only while it has no other
-  // sessions, else Connect fails with FAILED_PRECONDITION.
+  // Validates `options` (fail-fast, see SessionOptions::Validate) and
+  // connects a new session; SessionOptions::shard picks the shard ("" =
+  // round-robin). The shard's ReadSession must agree with the session's
+  // normalized cache config: a mismatch reconfigures the shard only while it
+  // has no other sessions, else Connect fails with FAILED_PRECONDITION.
   vl::StatusOr<Client> Connect(SessionOptions options = SessionOptions{});
 
   // --- scheduler control ---

@@ -1,6 +1,5 @@
 #include "src/serve/shell.h"
 
-#include <cassert>
 #include <fstream>
 
 #include "src/analysis/lint.h"
@@ -27,20 +26,6 @@ std::pair<std::string, std::string> SplitFirst(std::string_view text) {
 }  // namespace
 
 DebuggerShell::DebuggerShell(Session* session) : session_(session) {}
-
-DebuggerShell::DebuggerShell(dbg::KernelDebugger* debugger)
-    : owned_server_(std::make_unique<Server>()) {
-  vl::Status added = owned_server_->AddShard("local", debugger);
-  assert(added.ok());
-  (void)added;
-  // Adopt the debugger's existing cache config (classic engine, no dedup) so
-  // the shim changes nothing about single-user behavior.
-  auto client =
-      owned_server_->Connect(SessionOptions::FromCacheConfig(debugger->session().config()));
-  assert(client.ok());
-  owned_client_.emplace(std::move(client).value());
-  session_ = owned_client_->session();
-}
 
 std::string DebuggerShell::Execute(const std::string& line) {
   auto [command, args] = SplitFirst(line);
@@ -264,10 +249,8 @@ std::string DebuggerShell::CmdCheck(const std::string& args) {
 
 vl::Json DebuggerShell::StatsJson() const {
   vl::Json j = vl::Json::Object();
-  if (dbg() != nullptr) {
-    j["target"] = dbg()->target().StatsToJson();
-    j["cache"] = dbg()->session().StatsToJson();
-  }
+  j["target"] = dbg()->target().StatsToJson();
+  j["cache"] = dbg()->session().StatsToJson();
   vision::PaneManager& panes = session_->panes();
   vl::Json jpanes = vl::Json::Object();
   for (int id : panes.pane_ids()) {
@@ -311,49 +294,47 @@ std::string DebuggerShell::CmdStats(const std::string& args) {
     return StatsJson().Dump(2) + "\n";
   }
   std::string out;
-  if (dbg() != nullptr) {
-    const dbg::Target& target = dbg()->target();
-    out += vl::StrFormat("target: model=%s clock=%llu ns (%.3f ms) reads=%llu bytes=%llu\n",
-                         target.model().name.c_str(),
-                         static_cast<unsigned long long>(target.clock().nanos()),
-                         target.clock().millis(),
-                         static_cast<unsigned long long>(target.reads()),
-                         static_cast<unsigned long long>(target.bytes_read()));
-    for (const auto& [name, stats] : target.per_model_stats()) {
-      out += vl::StrFormat("  %-16s %llu ns, %llu reads, %llu bytes\n", name.c_str(),
-                           static_cast<unsigned long long>(stats.charged_ns),
-                           static_cast<unsigned long long>(stats.reads),
-                           static_cast<unsigned long long>(stats.bytes));
-    }
-    const dbg::ReadSession& session = dbg()->session();
-    const dbg::CacheStats& cache = session.cache_stats();
+  const dbg::Target& target = dbg()->target();
+  out += vl::StrFormat("target: model=%s clock=%llu ns (%.3f ms) reads=%llu bytes=%llu\n",
+                       target.model().name.c_str(),
+                       static_cast<unsigned long long>(target.clock().nanos()),
+                       target.clock().millis(),
+                       static_cast<unsigned long long>(target.reads()),
+                       static_cast<unsigned long long>(target.bytes_read()));
+  for (const auto& [name, stats] : target.per_model_stats()) {
+    out += vl::StrFormat("  %-16s %llu ns, %llu reads, %llu bytes\n", name.c_str(),
+                         static_cast<unsigned long long>(stats.charged_ns),
+                         static_cast<unsigned long long>(stats.reads),
+                         static_cast<unsigned long long>(stats.bytes));
+  }
+  const dbg::ReadSession& session = dbg()->session();
+  const dbg::CacheStats& cache = session.cache_stats();
+  out += vl::StrFormat(
+      "cache: %s block=%zu B, %llu hits / %llu misses (%.1f%% hit rate), "
+      "%llu blocks cached, %llu evictions, %llu invalidations\n",
+      session.cache_enabled() ? "on" : "off", session.config().block_bytes,
+      static_cast<unsigned long long>(cache.hits),
+      static_cast<unsigned long long>(cache.misses), cache.HitRate() * 100.0,
+      static_cast<unsigned long long>(session.cached_blocks()),
+      static_cast<unsigned long long>(cache.evictions),
+      static_cast<unsigned long long>(cache.invalidations));
+  const dbg::Target::DirtyStats dirty = target.dirty_stats();
+  if (session.delta_enabled() || dirty.queries > 0) {
     out += vl::StrFormat(
-        "cache: %s block=%zu B, %llu hits / %llu misses (%.1f%% hit rate), "
-        "%llu blocks cached, %llu evictions, %llu invalidations\n",
-        session.cache_enabled() ? "on" : "off", session.config().block_bytes,
-        static_cast<unsigned long long>(cache.hits),
-        static_cast<unsigned long long>(cache.misses), cache.HitRate() * 100.0,
-        static_cast<unsigned long long>(session.cached_blocks()),
-        static_cast<unsigned long long>(cache.evictions),
-        static_cast<unsigned long long>(cache.invalidations));
-    const dbg::Target::DirtyStats dirty = target.dirty_stats();
-    if (session.delta_enabled() || dirty.queries > 0) {
-      out += vl::StrFormat(
-          "  delta: %s, %llu delta / %llu full invalidations "
-          "(%llu B delta, %llu B full), %llu delta prefetches\n",
-          session.delta_enabled() ? "on" : "off",
-          static_cast<unsigned long long>(cache.delta_invalidations),
-          static_cast<unsigned long long>(cache.invalidations),
-          static_cast<unsigned long long>(cache.invalidated_bytes_delta),
-          static_cast<unsigned long long>(cache.invalidated_bytes_full),
-          static_cast<unsigned long long>(cache.delta_prefetches));
-      out += vl::StrFormat(
-          "  dirty-log: %llu queries, %llu pages scanned, %llu dirty, %llu ns charged\n",
-          static_cast<unsigned long long>(dirty.queries),
-          static_cast<unsigned long long>(dirty.pages_scanned),
-          static_cast<unsigned long long>(dirty.pages_dirty),
-          static_cast<unsigned long long>(dirty.charged_ns));
-    }
+        "  delta: %s, %llu delta / %llu full invalidations "
+        "(%llu B delta, %llu B full), %llu delta prefetches\n",
+        session.delta_enabled() ? "on" : "off",
+        static_cast<unsigned long long>(cache.delta_invalidations),
+        static_cast<unsigned long long>(cache.invalidations),
+        static_cast<unsigned long long>(cache.invalidated_bytes_delta),
+        static_cast<unsigned long long>(cache.invalidated_bytes_full),
+        static_cast<unsigned long long>(cache.delta_prefetches));
+    out += vl::StrFormat(
+        "  dirty-log: %llu queries, %llu pages scanned, %llu dirty, %llu ns charged\n",
+        static_cast<unsigned long long>(dirty.queries),
+        static_cast<unsigned long long>(dirty.pages_scanned),
+        static_cast<unsigned long long>(dirty.pages_dirty),
+        static_cast<unsigned long long>(dirty.charged_ns));
   }
   for (int id : panes().pane_ids()) {
     const viewql::ExecStats* stats = panes().exec_stats(id);
@@ -470,9 +451,9 @@ std::string DebuggerShell::CmdExplain(const std::string& args) {
   tracer.Clear();
   tracer.SetTreeEnabled(true);
   tracer.Enable();
-  uint64_t clock_before = dbg() != nullptr ? dbg()->target().clock().nanos() : 0;
+  uint64_t clock_before = dbg()->target().clock().nanos();
   auto result = panes().RefreshPane(static_cast<int>(pane_id), session_->MakeReplotFn());
-  uint64_t clock_after = dbg() != nullptr ? dbg()->target().clock().nanos() : 0;
+  uint64_t clock_after = dbg()->target().clock().nanos();
   tracer.SetTreeEnabled(false);  // freeze the tree for rendering below
   if (!was_enabled) {
     tracer.Disable();
@@ -740,10 +721,10 @@ std::string DebuggerShell::CmdVprof(const std::string& args) {
   tracer.Clear();
   vl::MetricsRegistry::Instance().Reset();
   tracer.Enable();
-  if (dbg() != nullptr) {
-    dbg()->target().ResetStats();
-  }
 
+  // Reports the clock delta across the root span and leaves the clock alone:
+  // the server accounts the shard's clock (flight reconciliation reads it).
+  uint64_t clock_before = dbg()->target().clock().nanos();
   vl::Status run_status = vl::Status::Ok();
   size_t boxes = 0;
   {
@@ -769,7 +750,7 @@ std::string DebuggerShell::CmdVprof(const std::string& args) {
     return "error: " + run_status.ToString() + "\n";
   }
 
-  uint64_t clock_ns = dbg() != nullptr ? dbg()->target().clock().nanos() : 0;
+  uint64_t clock_ns = dbg()->target().clock().nanos() - clock_before;
   uint64_t self_ns = tracer.TotalSelfNanos();
   std::string out = vl::StrFormat("vprof pane %d: %zu boxes\n",
                                   static_cast<int>(pane_id), boxes);
@@ -790,7 +771,7 @@ std::string DebuggerShell::CmdLint(const std::string& args) {
   }
   bool json = mode == "json";
   analysis::Linter linter(&dbg()->types(), &dbg()->symbols(), &dbg()->helpers(),
-                          &session_->emoji());
+                          &emoji_);
 
   struct LintJob {
     std::string name;
@@ -865,7 +846,7 @@ std::string DebuggerShell::CmdVchat(const std::string& args) {
   // via fix-its and re-checked once; anything still broken is refused with
   // the diagnostics as the retry hint.
   analysis::Linter linter(&dbg()->types(), &dbg()->symbols(), &dbg()->helpers(),
-                          &session_->emoji());
+                          &emoji_);
   analysis::ProgramSummary summary =
       linter.SummarizeViewCl(panes().program_text(static_cast<int>(pane_id)));
   analysis::LintResult lint =

@@ -2,23 +2,21 @@
 // commands a developer invokes at a breakpoint. This is the programmatic core
 // behind the interactive example binary and the shell tests.
 //
-// As of the vserve redesign the shell is a thin front end over a
-// vserve::Session — every plot/refresh goes through the serving layer, so
-// single-user mode is literally a one-session server. Construct it on a
-// Session from Server::Connect; the legacy KernelDebugger constructor remains
-// as a deprecated compat shim that spins up a private inline server.
+// The shell is a front end over one vserve::Session: every plot and refresh
+// goes through the serving layer. Open it the one way there is — register a
+// shard (Server::AddShard or BootShard), Server::Connect a session, and
+// construct the shell on that session.
 
 #ifndef SRC_SERVE_SHELL_H_
 #define SRC_SERVE_SHELL_H_
 
-#include <memory>
-#include <optional>
 #include <string>
 
 #include "src/dbg/kernel_introspect.h"
 #include "src/serve/server.h"
 #include "src/support/budget.h"
 #include "src/support/timeseries.h"
+#include "src/viewcl/decorate.h"
 #include "src/vision/panes.h"
 #include "src/vision/vchat.h"
 
@@ -26,16 +24,9 @@ namespace vserve {
 
 class DebuggerShell {
  public:
-  // The vserve-native entry point: drive an existing session (borrowed; the
-  // owning Client must outlive the shell).
+  // Drives an existing session (borrowed; the owning Client must outlive the
+  // shell).
   explicit DebuggerShell(Session* session);
-
-  // DEPRECATED: pre-vserve compatibility. Wraps `debugger` in a private
-  // inline single-shard Server and connects one classic session to it
-  // (SessionOptions::FromCacheConfig — the debugger's cache config is
-  // adopted, never reconfigured). New code should Connect to a Server and
-  // use DebuggerShell(Session*).
-  explicit DebuggerShell(dbg::KernelDebugger* debugger);
 
   // Executes one command line and returns its textual output. Commands:
   //   vplot <pane> <viewcl program...>      extract a graph into a pane
@@ -97,23 +88,13 @@ class DebuggerShell {
 
   dbg::KernelDebugger* dbg() const { return session_->debugger(); }
 
-  // Compat-constructor plumbing (unused when attached to a caller's session).
-  // Declaration order matters: the client (and its Session) must be torn
-  // down before the server it is connected to.
-  std::unique_ptr<Server> owned_server_;
-  std::optional<Client> owned_client_;
-
-  Session* session_;  // borrowed, or owned_client_'s session
+  Session* session_;  // borrowed
   vision::VchatSynthesizer vchat_;
+  // Decorator sets the linter checks `vctrl lint` and vchat programs
+  // against: the built-in ones every interpreter has.
+  viewcl::EmojiRegistry emoji_;
 };
 
 }  // namespace vserve
-
-namespace vision {
-// Transitional alias: DebuggerShell moved into the vserve serving layer.
-// Existing vision::DebuggerShell users keep compiling; new code should name
-// vserve::DebuggerShell directly.
-using DebuggerShell = ::vserve::DebuggerShell;
-}  // namespace vision
 
 #endif  // SRC_SERVE_SHELL_H_

@@ -960,11 +960,12 @@ class Interpreter::RunState {
     dbg::ReadSession* session_;
   };
 
-  // Memoization engages only when the session's dirty log can prove a
-  // snapshot is still valid; default sessions keep exact classic behavior.
+  // Memoizes per-box extraction across Run() calls, replaying structurally
+  // unchanged subtrees without re-walking them. Engages only when the
+  // session's dirty log can prove a snapshot is still valid (delta
+  // invalidation supplies the page epochs) and boxes are interned.
   bool MemoEnabled() const {
-    return in_->limits_.memoize_boxes && in_->limits_.intern_boxes &&
-           dbg_->session().delta_enabled();
+    return in_->limits_.intern_boxes && dbg_->session().delta_enabled();
   }
 
   vl::StatusOr<VclValue> InstantiateBox(const BoxDecl* decl, Value object, Scope* lexical,

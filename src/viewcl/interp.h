@@ -40,12 +40,6 @@ struct InterpLimits {
   // bench_ablation experiment) makes shared/cyclic structures blow up until
   // the depth/box limits bite.
   bool intern_boxes = true;
-  // Memoizes per-box extraction across Run() calls, replaying structurally
-  // unchanged subtrees without re-walking them. Only engages when the
-  // debugger's ReadSession runs dirty-log delta invalidation (the page
-  // epochs that prove a memo is still valid come from there), so default
-  // sessions keep their exact classic behavior. Requires intern_boxes.
-  bool memoize_boxes = true;
 };
 
 // The batched walker's accounting, summed over Run() calls

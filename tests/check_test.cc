@@ -532,7 +532,7 @@ TEST(CheckServeTest, ServerSweepCoversEveryShard) {
 TEST(CheckShellTest, VctrlCheckAndStatsSurfaceSweeps) {
   vserve::Server server;
   ASSERT_TRUE(server.BootShard("main").ok());
-  auto client = vserve::Client::Connect(&server);
+  auto client = server.Connect();
   ASSERT_TRUE(client.ok());
   vserve::DebuggerShell shell(client->session());
 

@@ -10,7 +10,7 @@
 #include "src/viewcl/interp.h"
 #include "src/viewcl/synthesize.h"
 #include "src/viewql/query.h"
-#include "src/vision/shell.h"
+#include "tests/served_shell.h"
 #include "tests/test_util.h"
 
 namespace {
@@ -67,7 +67,7 @@ TEST_F(ExtensionsTest, SynthesizeRejectsUnknownAndOpaqueTypes) {
 }
 
 TEST_F(ExtensionsTest, ShellAutoPlot) {
-  vision::DebuggerShell shell(debugger_.get());
+  vltest::ServedShell shell(debugger_.get());
   std::string out = shell.Execute("vplot 1 --auto rq cpu_rq(1)");
   EXPECT_NE(out.find("synthesized ViewCL"), std::string::npos) << out;
   EXPECT_NE(out.find("plotted"), std::string::npos) << out;

@@ -271,9 +271,8 @@ TEST_F(FlightTest, RingEvictionKeepsNewestN) {
 }
 
 TEST_F(FlightTest, DisabledRecorderStampsNothing) {
-  ServerConfig config;
-  config.flight_recorder = false;
-  Server server(config);
+  Server server;
+  server.flights().Disable();
   Boot(server);
   auto client = server.Connect();
   ASSERT_TRUE(client.ok());
@@ -427,6 +426,31 @@ TEST_F(FlightTest, ResetStatsClearsServeAccountingCoherently) {
 
 // ---------------------------------------------------------------------------
 // Shell commands + publish-on-export
+
+// vprof profiles against the shard's clock without zeroing it, so the shard
+// still reconciles afterwards (its run is control-plane time).
+TEST_F(FlightTest, VprofKeepsShardReconciled) {
+  Server server;
+  Boot(server);
+  auto client = server.Connect();
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE((*client)->Plot(1, Fig("fig3_4")).ok());
+  server.shard_workload("k0")->Step();  // so the refresh charges service time
+  ASSERT_TRUE((*client)->Refresh(1).ok());
+  DebuggerShell shell((*client).session());
+  std::string out = shell.Execute(std::string("vprof 1 ") + Fig("fig7_1"));
+  ASSERT_NE(out.find("vprof pane 1"), std::string::npos) << out;
+  EXPECT_NE(out.find("(exact)"), std::string::npos) << out;
+
+  vl::Json doc = server.ExportFlights();
+  const vl::Json* shard = doc.Find("metadata")->Find("shards")->Find("k0");
+  ASSERT_NE(shard, nullptr);
+  EXPECT_TRUE(shard->Find("reconciled")->AsBool()) << doc.Dump(2);
+  EXPECT_EQ(shard->Find("charged_ns")->AsInt(),
+            shard->Find("control_ns")->AsInt() +
+                shard->Find("flight_service_ns")->AsInt());
+  EXPECT_GT(shard->Find("flight_service_ns")->AsInt(), 0);
+}
 
 TEST_F(FlightTest, PromExportPublishesServeGaugesItself) {
   vl::MetricsRegistry::Instance().Reset();

@@ -15,7 +15,7 @@
 #include "src/viewcl/parser.h"
 #include "src/viewql/parse.h"
 #include "src/vision/figures.h"
-#include "src/vision/shell.h"
+#include "tests/served_shell.h"
 #include "tests/test_util.h"
 
 namespace analysis {
@@ -494,11 +494,11 @@ class LintShellTest : public vltest::WorkloadKernelTest {
     vltest::WorkloadKernelTest::SetUp();
     debugger_ = std::make_unique<dbg::KernelDebugger>(kernel_.get());
     vision::RegisterFigureSymbols(debugger_.get(), workload_.get());
-    shell_ = std::make_unique<vision::DebuggerShell>(debugger_.get());
+    shell_ = std::make_unique<vltest::ServedShell>(debugger_.get());
   }
 
   std::unique_ptr<dbg::KernelDebugger> debugger_;
-  std::unique_ptr<vision::DebuggerShell> shell_;
+  std::unique_ptr<vltest::ServedShell> shell_;
 };
 
 TEST_F(LintShellTest, VctrlLintPane) {

@@ -1,8 +1,9 @@
-// vserve serving-layer tests: SessionOptions validation, request dedup
-// (one extraction serves every overlapping client), per-session view
-// isolation, byte-identical renders vs single-session mode, admission
-// control, shard routing, the async scheduler, and the Target stats
-// snapshot race fixed alongside this layer.
+// vserve serving-layer tests: SessionOptions validation and lowering, request
+// dedup (one extraction serves every overlapping client), per-session view
+// isolation, byte-identical renders vs a raw reference session, admission
+// control, shard routing, cache-config sharing, the async scheduler, the
+// shell on a session, and the Target stats snapshot race fixed alongside
+// this layer.
 
 #include <gtest/gtest.h>
 
@@ -65,19 +66,31 @@ TEST(SessionOptionsTest, FailFastDiagnosticsCarryRuleIds) {
   EXPECT_EQ(options.Validate().errors(), 0);
 }
 
-TEST(SessionOptionsTest, CacheConfigRoundTrip) {
-  dbg::CacheConfig config;
-  config.block_bytes = 512;
-  config.capacity_blocks = 64;
-  config.delta_invalidation = true;
-  config.max_dirty_ratio = 0.25;
-  SessionOptions options = SessionOptions::FromCacheConfig(config);
-  EXPECT_TRUE(SameCacheConfig(options.ToCacheConfig(), config));
-  // The compat conversion preserves classic single-user semantics.
-  EXPECT_FALSE(options.shared_engines);
-  EXPECT_FALSE(options.coalesce);
-  EXPECT_TRUE(SameCacheConfig(SessionOptions::Classic().ToCacheConfig(),
-                              dbg::CacheConfig{}));
+TEST(SessionOptionsTest, CacheConfigLowersAndNormalizes) {
+  SessionOptions options;
+  options.block_bytes = 300;
+  options.capacity_blocks = 64;
+  options.incremental = false;
+  options.max_dirty_ratio = 0.25;
+  dbg::CacheConfig config = options.ToCacheConfig();
+  EXPECT_EQ(config.block_bytes, 300u);
+  EXPECT_EQ(config.capacity_blocks, 64u);
+  EXPECT_FALSE(config.delta_invalidation);
+  EXPECT_EQ(config.max_dirty_ratio, 0.25);
+  // The serving defaults lower to the incremental block cache.
+  EXPECT_EQ(SessionOptions{}.ToCacheConfig(), dbg::CacheConfig::Incremental());
+
+  // Normalized is the form a ReadSession runs: 300 B blocks are 512 B ones,
+  // so 300 and 512 describe the same cache.
+  dbg::CacheConfig normalized = config.Normalized();
+  EXPECT_EQ(normalized.block_bytes, 512u);
+  EXPECT_NE(normalized, config);
+  EXPECT_EQ(normalized.Normalized(), normalized);
+  options.block_bytes = 512;
+  EXPECT_EQ(options.ToCacheConfig().Normalized(), normalized);
+  // A block cache keeps at least one block; no cache stays no cache.
+  EXPECT_EQ((dbg::CacheConfig{256, 0}.Normalized().capacity_blocks), 1u);
+  EXPECT_EQ(dbg::CacheConfig::Disabled().Normalized(), dbg::CacheConfig::Disabled());
 }
 
 // ---------------------------------------------------------------------------
@@ -169,7 +182,7 @@ TEST_F(ServeTest, PerSessionViewIsolation) {
 }
 
 TEST_F(ServeTest, RendersByteIdenticalToSingleSessionMode) {
-  // Serving path: a session on a booted shard.
+  // Serving path: a session on a booted shard, every reuse layer on.
   Server server;
   Boot(server, "k0", dbg::LatencyModel::Free());
   auto client = server.Connect();
@@ -178,22 +191,22 @@ TEST_F(ServeTest, RendersByteIdenticalToSingleSessionMode) {
   auto served = (*client)->Refresh(1);
   ASSERT_TRUE(served.ok());
 
-  // Classic path: the same deterministic kernel driven by the pre-vserve
-  // shell (compat constructor = one-session server, classic options).
-  vkern::Kernel kernel;
-  vkern::WorkloadConfig config;
-  config.steps = 60;
-  vkern::Workload workload(&kernel, config);
-  workload.Run();
-  dbg::KernelDebugger debugger(&kernel);
-  vision::RegisterFigureSymbols(&debugger, &workload);
-  DebuggerShell shell(&debugger);
-  shell.Execute(std::string("vplot 1 ") + Fig("fig3_4"));
-
-  // Note: no classic `vctrl refresh` here — the classic engine re-loads and
-  // accumulates the program per replot (a second `plot` section), which is
-  // preserved compat behavior, not the canonical figure bytes.
-  EXPECT_EQ(served->render, shell.Execute("vctrl view 1"));
+  // Reference: one session on an identically booted kernel with every reuse
+  // layer off — raw transport, a private engine, no dedup, no render cache
+  // (the fields vbench's oracle renders with).
+  Boot(server, "ref", dbg::LatencyModel::Free());
+  SessionOptions raw;
+  raw.shard = "ref";
+  raw.block_bytes = 0;
+  raw.incremental = false;
+  raw.shared_engines = false;
+  raw.coalesce = false;
+  raw.render_cache = false;
+  auto reference = server.Connect(raw);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_TRUE((*reference)->Plot(1, Fig("fig3_4")).ok());
+  EXPECT_FALSE(served->render.empty());
+  EXPECT_EQ(served->render, (*reference)->Render(1));
   // And a serve refresh is idempotent on an unchanged kernel.
   auto again = (*client)->Refresh(1);
   ASSERT_TRUE(again.ok());
@@ -275,6 +288,31 @@ TEST_F(ServeTest, ConnectRefusesCacheConfigConflictWhileOccupied) {
   EXPECT_TRUE(retry.ok());
 }
 
+// block_bytes = 300 is admissible (VS006 only warns) and runs as 512 B
+// blocks. Connect compares configs in that normalized form, so a second
+// session with the same options shares the shard, and reconnecting to an
+// empty shard leaves its warm cache alone.
+TEST_F(ServeTest, ConnectComparesNormalizedCacheConfig) {
+  Server server;
+  Boot(server, "k0", dbg::LatencyModel::Free());
+  SessionOptions odd;
+  odd.block_bytes = 300;
+  const dbg::ReadSession& cache = server.shard_debugger("k0")->session();
+  {
+    auto first = server.Connect(odd);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    EXPECT_EQ(cache.config().block_bytes, 512u);
+    auto second = server.Connect(odd);
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    ASSERT_TRUE((*second)->Plot(1, Fig("fig3_4")).ok());
+  }
+  size_t warm = cache.cached_blocks();
+  ASSERT_GT(warm, 0u);
+  auto again = server.Connect(odd);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(cache.cached_blocks(), warm);  // not reconfigured, so not flushed
+}
+
 TEST_F(ServeTest, SchedulerQueuesUnderPauseAndPreservesFifo) {
   Server server;  // inline mode: workers == 0
   Boot(server, "k0", dbg::LatencyModel::Free());
@@ -342,27 +380,25 @@ TEST_F(ServeTest, WorkerPoolServesConcurrentClients) {
   EXPECT_EQ(executed, 1u);
 }
 
-TEST_F(ServeTest, CompatShellIsOneSessionServer) {
-  vkern::Kernel kernel;
-  vkern::WorkloadConfig config;
-  config.steps = 60;
-  vkern::Workload workload(&kernel, config);
-  workload.Run();
-  dbg::KernelDebugger debugger(&kernel);
-  vision::RegisterFigureSymbols(&debugger, &workload);
-
-  DebuggerShell shell(&debugger);
-  EXPECT_EQ(shell.session().shard_name(), "local");
-  // Classic options: the shim must never reconfigure the caller's debugger.
-  EXPECT_FALSE(shell.session().options().coalesce);
+TEST_F(ServeTest, ShellOnConnectedSessionReportsServeSection) {
+  Server server;
+  Boot(server, "k0", dbg::LatencyModel::Free());
+  auto client = server.Connect();
+  ASSERT_TRUE(client.ok());
+  DebuggerShell shell(client->session());
+  EXPECT_EQ(shell.session().shard_name(), "k0");
 
   std::string out = shell.Execute(std::string("vplot 1 ") + Fig("fig3_4"));
   EXPECT_NE(out.find("plotted"), std::string::npos);
   out = shell.Execute("vctrl refresh 1");
   EXPECT_NE(out.find("refreshed pane 1"), std::string::npos);
   EXPECT_EQ(out.find("(deduped)"), std::string::npos);
-  // The merged stats report now carries the serve section.
-  EXPECT_NE(shell.Execute("vctrl stats").find("serve: session"), std::string::npos);
+  // Same figure, same epoch: the shell marks the dedup serve.
+  EXPECT_NE(shell.Execute("vctrl refresh 1").find("(deduped)"), std::string::npos);
+  // The merged stats report carries the serve section.
+  EXPECT_NE(shell.Execute("vctrl stats").find("serve: session 1 on shard k0, 2 requests "
+                                              "(1 executed, 1 deduped, 0 rejected)"),
+            std::string::npos);
   EXPECT_NE(shell.Execute("vctrl stats json").find("\"serve\""), std::string::npos);
 }
 

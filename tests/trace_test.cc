@@ -16,7 +16,7 @@
 #include "src/support/vclock.h"
 #include "src/viewcl/interp.h"
 #include "src/vision/figures.h"
-#include "src/vision/shell.h"
+#include "tests/served_shell.h"
 #include "tests/test_util.h"
 
 namespace vl {
@@ -511,14 +511,14 @@ class TraceShellTest : public TraceKernelTest {
  protected:
   void SetUp() override {
     TraceKernelTest::SetUp();
-    shell_ = std::make_unique<vision::DebuggerShell>(debugger_.get());
+    shell_ = std::make_unique<vltest::ServedShell>(debugger_.get());
   }
   void TearDown() override {
     shell_.reset();
     TraceKernelTest::TearDown();
   }
 
-  std::unique_ptr<vision::DebuggerShell> shell_;
+  std::unique_ptr<vltest::ServedShell> shell_;
 };
 
 TEST_F(TraceShellTest, VctrlStatsReportsTargetAndTracer) {

@@ -8,8 +8,8 @@
 #include "src/vision/figures.h"
 #include "src/vision/panes.h"
 #include "src/vision/render.h"
-#include "src/vision/shell.h"
 #include "src/vision/vchat.h"
+#include "tests/served_shell.h"
 #include "tests/test_util.h"
 
 namespace vision {
@@ -253,7 +253,7 @@ TEST_F(VisionTest, SessionSaveAndReload) {
 // --- the v-command shell ---
 
 TEST_F(VisionTest, ShellVplotAndView) {
-  DebuggerShell shell(debugger_.get());
+  vltest::ServedShell shell(debugger_.get());
   std::string out = shell.Execute(
       "vplot 1 define Task as Box<task_struct> [ Text pid, comm ] plot Task(${&init_task})");
   EXPECT_NE(out.find("plotted"), std::string::npos) << out;
@@ -262,7 +262,7 @@ TEST_F(VisionTest, ShellVplotAndView) {
 }
 
 TEST_F(VisionTest, ShellSplitApplyFocus) {
-  DebuggerShell shell(debugger_.get());
+  vltest::ServedShell shell(debugger_.get());
   shell.Execute(
       "vplot 1 define Task as Box<task_struct> [ Text pid, comm "
       "Link parent -> Task(${@this.parent}) ] plot Task(${target_task})");
@@ -278,7 +278,7 @@ TEST_F(VisionTest, ShellSplitApplyFocus) {
 }
 
 TEST_F(VisionTest, ShellVchatSynthesizesAndApplies) {
-  DebuggerShell shell(debugger_.get());
+  vltest::ServedShell shell(debugger_.get());
   shell.Execute(std::string("vplot 1 ") + FindFigure("fig3_4")->viewcl);
   std::string out =
       shell.Execute("vchat 1 shrink tasks that have no address space");
@@ -294,7 +294,7 @@ TEST_F(VisionTest, ShellVchatSynthesizesAndApplies) {
 }
 
 TEST_F(VisionTest, ShellDotAndJsonOutput) {
-  DebuggerShell shell(debugger_.get());
+  vltest::ServedShell shell(debugger_.get());
   shell.Execute(
       "vplot 1 define Task as Box<task_struct> [ Text pid ] plot Task(${&init_task})");
   std::string dot = shell.Execute("vctrl dot 1");
@@ -307,7 +307,7 @@ TEST_F(VisionTest, ShellDotAndJsonOutput) {
 }
 
 TEST_F(VisionTest, ShellReportsErrors) {
-  DebuggerShell shell(debugger_.get());
+  vltest::ServedShell shell(debugger_.get());
   EXPECT_NE(shell.Execute("vplot abc").find("usage"), std::string::npos);
   EXPECT_NE(shell.Execute("vplot 1 not viewcl at all").find("error"), std::string::npos);
   EXPECT_NE(shell.Execute("bogus").find("unknown command"), std::string::npos);
