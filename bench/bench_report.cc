@@ -20,6 +20,7 @@
 #include "src/analysis/lint.h"
 #include "src/serve/server.h"
 #include "src/support/metrics.h"
+#include "src/support/str.h"
 #include "src/support/trace.h"
 #include "src/viewcl/interp.h"
 #include "src/vision/panes.h"
@@ -437,6 +438,15 @@ vl::Json MeasureLint(vlbench::BenchEnv& env) {
   return j;
 }
 
+// full ÷ incremental, or null when the incremental side charged nothing (the
+// extraction before each sweep is its first reader after the tick, so the
+// delta refresh has already re-read every block the sweep reads).
+vl::Json Speedup(uint64_t full_ns, uint64_t incremental_ns) {
+  return incremental_ns > 0
+             ? vl::Json::Number(static_cast<double>(full_ns) / static_cast<double>(incremental_ns))
+             : vl::Json::Null();
+}
+
 // vcheck: full vs incremental invariant sweeps across the figure corpus. Two
 // engines audit the same kernel: `full` re-runs all eleven rules per sweep
 // (a CPU tick bumps the generation, so its classic cache flushes and every
@@ -491,11 +501,7 @@ vl::Json MeasureCheck(vlbench::BenchEnv& env) {
         vl::Json::Int(static_cast<int64_t>(inc_report.clock_delta_ns));
     cell["skipped"] = vl::Json::Int(static_cast<int64_t>(inc_report.rules_skipped()));
     cell["reran"] = vl::Json::Int(static_cast<int64_t>(inc_report.rules_run()));
-    cell["speedup"] = vl::Json::Number(
-        inc_report.clock_delta_ns > 0
-            ? static_cast<double>(full_report.clock_delta_ns) /
-                  static_cast<double>(inc_report.clock_delta_ns)
-            : 0.0);
+    cell["speedup"] = Speedup(full_report.clock_delta_ns, inc_report.clock_delta_ns);
     cell["reconciled"] =
         vl::Json::Bool(full_report.reconciled && inc_report.reconciled);
     cells.Append(std::move(cell));
@@ -515,9 +521,7 @@ vl::Json MeasureCheck(vlbench::BenchEnv& env) {
   j["figures"] = std::move(cells);
   j["full_ns"] = vl::Json::Int(static_cast<int64_t>(full_total));
   j["incremental_ns"] = vl::Json::Int(static_cast<int64_t>(delta_total));
-  j["speedup"] = vl::Json::Number(
-      delta_total > 0 ? static_cast<double>(full_total) / static_cast<double>(delta_total)
-                      : 0.0);
+  j["speedup"] = Speedup(full_total, delta_total);
   j["violations"] = vl::Json::Int(static_cast<int64_t>(violations));
   j["passed"] =
       vl::Json::Bool(ok && violations == 0 && delta_total < full_total);
@@ -932,10 +936,12 @@ int main(int argc, char** argv) {
   vl::Json check_report = MeasureCheck(env);
   const vl::Json* check_passed = check_report.Find("passed");
   const vl::Json* check_speedup = check_report.Find("speedup");
-  std::printf("  check full %s ns vs incremental %s ns, speedup %.1fx, passed=%s\n",
+  std::string speedup = check_speedup != nullptr && !check_speedup->is_null()
+                            ? vl::StrFormat("%.1fx", check_speedup->AsNumber())
+                            : "unbounded";
+  std::printf("  check full %s ns vs incremental %s ns, speedup %s, passed=%s\n",
               check_report.Find("full_ns")->Dump(0).c_str(),
-              check_report.Find("incremental_ns")->Dump(0).c_str(),
-              check_speedup != nullptr ? check_speedup->AsNumber() : 0.0,
+              check_report.Find("incremental_ns")->Dump(0).c_str(), speedup.c_str(),
               check_passed != nullptr && check_passed->AsBool() ? "true" : "false");
   std::ofstream check_file(check_path);
   if (!check_file) {

@@ -14,6 +14,10 @@ namespace {
 // Short enough to stay inline in the status string: deferrals are frequent.
 constexpr const char* kDeferredMessage = "deferred";
 
+// Read tag of a delta refresh's spans: the refresh is charged to the cache,
+// not to whichever type's read noticed the epoch change.
+constexpr const char* kRefreshTag = "cache.refresh";
+
 // Smallest power of two >= n (n > 0), capped to keep shifts sane.
 size_t RoundUpPow2(size_t n) {
   size_t p = 1;
@@ -59,7 +63,8 @@ vl::Json CacheStats::ToJson() const {
   j["delta_invalidations"] = vl::Json::Int(static_cast<int64_t>(delta_invalidations));
   j["invalidated_bytes_full"] = vl::Json::Int(static_cast<int64_t>(invalidated_bytes_full));
   j["invalidated_bytes_delta"] = vl::Json::Int(static_cast<int64_t>(invalidated_bytes_delta));
-  j["delta_prefetches"] = vl::Json::Int(static_cast<int64_t>(delta_prefetches));
+  j["refreshed_blocks"] = vl::Json::Int(static_cast<int64_t>(refreshed_blocks));
+  j["refreshed_bytes"] = vl::Json::Int(static_cast<int64_t>(refreshed_bytes));
   j["vector_batches"] = vl::Json::Int(static_cast<int64_t>(vector_batches));
   j["vector_blocks"] = vl::Json::Int(static_cast<int64_t>(vector_blocks));
   return j;
@@ -83,7 +88,6 @@ void ReadSession::Reconfigure(CacheConfig config) {
   blocks_.clear();
   lru_.clear();
   page_last_dirty_.clear();
-  prefetched_.clear();
   unreadable_.clear();
   deferred_.clear();
   deferred_set_.clear();
@@ -159,7 +163,7 @@ void ReadSession::ApplyDirtyInfo(const DirtyPageInfo& info, uint64_t now) {
                            static_cast<double>(info.pages_total)
                      : 1.0;
   if (ratio > config_.max_dirty_ratio) {
-    // Too much moved: block-wise eviction would walk most of the cache for
+    // Too much moved: a block-wise refresh would walk most of the cache for
     // nothing. One flush is cheaper and just as correct.
     FullInvalidate();
     return;
@@ -168,22 +172,61 @@ void ReadSession::ApplyDirtyInfo(const DirtyPageInfo& info, uint64_t now) {
   if (blocks_.empty()) {
     return;
   }
-  size_t dropped = 0;
+  std::vector<uint64_t> stale;
   for (uint64_t page : info.dirty_pages) {
     uint64_t first_block = (page >> block_shift_) << block_shift_;
     for (uint64_t base = first_block; base < page + page_size; base += config_.block_bytes) {
-      auto it = blocks_.find(base);
-      if (it == blocks_.end()) {
-        continue;
+      if (blocks_.count(base) != 0) {
+        stale.push_back(base);
       }
-      lru_.erase(it->second.lru_it);
-      blocks_.erase(it);
-      ++dropped;
     }
   }
-  uint64_t bytes = static_cast<uint64_t>(dropped) * config_.block_bytes;
+  // A block larger than a page overlaps several dirty pages.
+  std::sort(stale.begin(), stale.end());
+  stale.erase(std::unique(stale.begin(), stale.end()), stale.end());
+  RefreshStale(stale);
+}
+
+void ReadSession::RefreshStale(const std::vector<uint64_t>& stale) {
+  // A block read since its last fetch is likely read again: re-read it in
+  // place (same readable part, same LRU position), all of them in one round
+  // trip. A block nobody touched is evicted, so a block nobody reads again
+  // is re-read at most once.
+  std::vector<ReadSpan> batch;
+  std::vector<uint64_t> evict;
+  for (uint64_t base : stale) {
+    Block& block = blocks_.find(base)->second;
+    if (!block.touched) {
+      evict.push_back(base);
+      continue;
+    }
+    block.touched = false;
+    batch.push_back(ReadSpan{base + block.lo, block.hi - block.lo, block.bytes.data() + block.lo,
+                             false, kRefreshTag});
+  }
+  if (!batch.empty()) {
+    (void)target_->ReadVector(batch);
+    for (const ReadSpan& span : batch) {
+      if (!span.ok) {
+        // Later reads of it take the exact-range fallback until the epoch
+        // moves, as after a miss batch.
+        uint64_t base = (span.addr >> block_shift_) << block_shift_;
+        evict.push_back(base);
+        unreadable_.insert(base);
+        continue;
+      }
+      stats_.refreshed_blocks++;
+      stats_.refreshed_bytes += span.len;
+    }
+  }
+  for (uint64_t base : evict) {
+    auto it = blocks_.find(base);
+    lru_.erase(it->second.lru_it);
+    blocks_.erase(it);
+  }
+  uint64_t bytes = static_cast<uint64_t>(evict.size()) * config_.block_bytes;
   stats_.invalidated_bytes_delta += bytes;
-  if (dropped != 0 && trace_flag_->load(std::memory_order_relaxed)) {
+  if (bytes != 0 && trace_flag_->load(std::memory_order_relaxed)) {
     vl::MetricsRegistry::Instance().GetCounter("cache.invalidate.delta")->Add(bytes);
   }
 }
@@ -273,6 +316,7 @@ void ReadSession::InsertBlock(uint64_t base, std::vector<uint8_t> bytes, size_t 
   block.lru_it = lru_.begin();
   block.lo = lo;
   block.hi = hi;
+  block.touched = true;
 }
 
 const ReadSession::Block* ReadSession::LookupOrFetch(uint64_t base, bool* hit) {
@@ -280,6 +324,7 @@ const ReadSession::Block* ReadSession::LookupOrFetch(uint64_t base, bool* hit) {
   if (it != blocks_.end()) {
     *hit = true;
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // move to front
+    it->second.touched = true;
     return &it->second;
   }
   *hit = false;
@@ -509,32 +554,6 @@ void ReadSession::PrefetchObject(uint64_t addr, const Type* type) {
     return;
   }
   stats_.prefetches++;
-  if (cache_enabled() && config_.delta_invalidation) {
-    CheckEpoch();
-    auto it = prefetched_.find(addr);
-    if (it != prefetched_.end() && it->second.bytes == type->size) {
-      // Re-prefetch of a known object: warm only the granules dirtied since
-      // the last prefetch. Clean granules are either still cached or not
-      // worth a speculative fetch (a read faults them in on demand).
-      stats_.delta_prefetches++;
-      uint64_t end = addr + type->size;
-      uint64_t first = addr & ~(kPageGranule - 1);
-      for (uint64_t granule = first; granule < end; granule += kPageGranule) {
-        if (RangeCleanSince(granule, kPageGranule, it->second.epoch)) {
-          continue;
-        }
-        uint64_t lo = std::max(granule, addr);
-        uint64_t hi = std::min(granule + kPageGranule, end);
-        Prefetch(lo, static_cast<size_t>(hi - lo));
-      }
-      it->second.epoch = epoch_;
-      return;
-    }
-    if (prefetched_.size() >= (size_t{1} << 16)) {
-      prefetched_.clear();  // bound the registry; worst case we re-warm fully
-    }
-    prefetched_[addr] = PrefetchedObject{type->size, epoch_};
-  }
   Prefetch(addr, type->size);
 }
 

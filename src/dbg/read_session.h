@@ -12,10 +12,11 @@
 // Target reports a monotonically increasing `generation()`; the simulated
 // kernel bumps it on every mutation entry point (`TickCpu`, workload steps,
 // `QueueMmPercpuWork`). A ReadSession revalidates the generation before every
-// read and drops all cached blocks when it changed, so a pane refresh after a
-// kernel step never renders stale memory. Code that mutates kernel memory
-// out-of-band (tests poking subsystems directly) must either bump the kernel
-// generation or call InvalidateAll(). See docs/caching.md.
+// read and drops all cached blocks when it changed (with delta invalidation:
+// re-reads the stale blocks still in use and drops the rest), so a pane
+// refresh after a kernel step never renders stale memory. Code that mutates
+// kernel memory out-of-band (tests poking subsystems directly) must either
+// bump the kernel generation or call InvalidateAll(). See docs/caching.md.
 //
 // Blocks at the edge of readable memory (the session learns the target's
 // readable ranges at attach) are fetched clipped to their readable bytes, so
@@ -56,15 +57,17 @@ struct CacheConfig {
   // LRU capacity in blocks (default 4096 blocks = 1 MiB at 256 B).
   size_t capacity_blocks = 4096;
   // Delta invalidation (docs/caching.md#incremental-invalidation): on an
-  // epoch change, query the target's dirty-page log and evict only the
-  // blocks overlapping dirty pages. Falls back to a whole-cache flush when
-  // the domain has no dirty log or the dirty ratio exceeds max_dirty_ratio.
+  // epoch change, query the target's dirty-page log and refresh only the
+  // blocks overlapping dirty pages (re-read the ones read since their last
+  // fetch in one vectored round trip, evict the rest). Falls back to a
+  // whole-cache flush when the domain has no dirty log or the dirty ratio
+  // exceeds max_dirty_ratio.
   // Off by default, so the classic contract (full flush per epoch) stays
   // exact for existing sessions. NOTE: code that mutates target memory
   // out-of-band must bump the memory generation — a bare InvalidateAll() is
   // not enough once page-epoch consumers (viewcl memoization) are attached.
   bool delta_invalidation = false;
-  // Above this fraction of dirty pages, block-wise eviction walks most of
+  // Above this fraction of dirty pages, a block-wise refresh walks most of
   // the cache for nothing; one flush is cheaper and just as correct.
   double max_dirty_ratio = 0.5;
 
@@ -101,7 +104,8 @@ struct CacheStats {
   uint64_t delta_invalidations = 0;      // epoch changes absorbed block-wise
   uint64_t invalidated_bytes_full = 0;   // cached bytes dropped by full flushes
   uint64_t invalidated_bytes_delta = 0;  // cached bytes dropped by delta eviction
-  uint64_t delta_prefetches = 0;         // re-prefetches narrowed to dirty pages
+  uint64_t refreshed_blocks = 0;         // stale blocks re-read in place
+  uint64_t refreshed_bytes = 0;          // bytes those re-reads pulled
   // Vectored-fetch accounting (docs/caching.md#vectored-reads).
   uint64_t vector_batches = 0;  // Target::ReadVector batches issued
   uint64_t vector_blocks = 0;   // blocks filled by those batches
@@ -114,8 +118,8 @@ struct CacheStats {
   // {"hits", "misses", "hit_bytes", "miss_bytes", "block_fetches",
   //  "fetched_bytes", "evictions", "invalidations", "uncached_reads",
   //  "prefetches", "delta_invalidations", "invalidated_bytes_full",
-  //  "invalidated_bytes_delta", "delta_prefetches", "vector_batches",
-  //  "vector_blocks"}
+  //  "invalidated_bytes_delta", "refreshed_blocks", "refreshed_bytes",
+  //  "vector_batches", "vector_blocks"}
   vl::Json ToJson() const;
 };
 
@@ -223,6 +227,9 @@ class ReadSession {
     // edge of readable memory, where it is clipped to the readable bytes.
     size_t lo = 0;
     size_t hi = 0;
+    // Read or prefetched since it was last fetched; a delta refresh re-reads
+    // only touched blocks and clears the mark.
+    bool touched = false;
   };
 
   // Granularity of page-epoch bookkeeping (RangeCleanSince, page scopes).
@@ -231,12 +238,15 @@ class ReadSession {
   static constexpr uint64_t kPageGranule = 4096;
 
   // Invalidates stale cache state if the memory domain's generation moved:
-  // delta (dirty-page) eviction when configured and supported, else a full
+  // a delta (dirty-page) refresh when configured and supported, else a full
   // flush.
   void CheckEpoch();
-  // Delta path: records dirty-page epochs, then evicts block-wise (or falls
-  // back to a full flush past the dirty-ratio threshold).
+  // Delta path: records dirty-page epochs, then refreshes block-wise (or
+  // falls back to a full flush past the dirty-ratio threshold).
   void ApplyDirtyInfo(const DirtyPageInfo& info, uint64_t now);
+  // Re-reads the touched blocks among `stale` in one Target::ReadVector and
+  // evicts the others, and those the batch cannot read.
+  void RefreshStale(const std::vector<uint64_t>& stale);
   // Full flush with accounting (the classic epoch contract).
   void FullInvalidate();
   // Records the granules of [addr, addr+len) into the innermost page scope.
@@ -287,13 +297,6 @@ class ReadSession {
   uint64_t dirty_floor_ = 0;
   // Open page-access scopes (innermost last).
   std::vector<std::unordered_set<uint64_t>> page_scopes_;
-  // Objects PrefetchObject has warmed: object addr -> {size, epoch}. Lets a
-  // re-prefetch warm only granules dirtied since the last one.
-  struct PrefetchedObject {
-    size_t bytes = 0;
-    uint64_t epoch = 0;
-  };
-  std::unordered_map<uint64_t, PrefetchedObject> prefetched_;
 };
 
 }  // namespace dbg

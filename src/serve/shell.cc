@@ -322,13 +322,14 @@ std::string DebuggerShell::CmdStats(const std::string& args) {
   if (session.delta_enabled() || dirty.queries > 0) {
     out += vl::StrFormat(
         "  delta: %s, %llu delta / %llu full invalidations "
-        "(%llu B delta, %llu B full), %llu delta prefetches\n",
+        "(%llu B delta, %llu B full), %llu blocks refreshed (%llu B)\n",
         session.delta_enabled() ? "on" : "off",
         static_cast<unsigned long long>(cache.delta_invalidations),
         static_cast<unsigned long long>(cache.invalidations),
         static_cast<unsigned long long>(cache.invalidated_bytes_delta),
         static_cast<unsigned long long>(cache.invalidated_bytes_full),
-        static_cast<unsigned long long>(cache.delta_prefetches));
+        static_cast<unsigned long long>(cache.refreshed_blocks),
+        static_cast<unsigned long long>(cache.refreshed_bytes));
     out += vl::StrFormat(
         "  dirty-log: %llu queries, %llu pages scanned, %llu dirty, %llu ns charged\n",
         static_cast<unsigned long long>(dirty.queries),
@@ -719,7 +720,6 @@ std::string DebuggerShell::CmdVprof(const std::string& args) {
   vl::Tracer& tracer = vl::Tracer::Instance();
   bool was_enabled = tracer.enabled();
   tracer.Clear();
-  vl::MetricsRegistry::Instance().Reset();
   tracer.Enable();
 
   // Reports the clock delta across the root span and leaves the clock alone:

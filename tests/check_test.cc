@@ -556,4 +556,22 @@ TEST(CheckShellTest, VctrlCheckAndStatsSurfaceSweeps) {
   EXPECT_NE(prom.find("vl_check_fleet_sweeps"), std::string::npos) << prom;
 }
 
+// vprof profiles from span stats alone: it leaves the process-wide counter
+// families (check.*, read.vector.*, dirty.*) that `vctrl stats` reports alone.
+TEST(CheckShellTest, VprofKeepsCheckCounters) {
+  vl::MetricsRegistry::Instance().Reset();
+  vserve::Server server;
+  ASSERT_TRUE(server.BootShard("main").ok());
+  auto client = server.Connect();
+  ASSERT_TRUE(client.ok());
+  vserve::DebuggerShell shell(client->session());
+
+  ASSERT_NE(shell.Execute("vctrl check all").find("sweep: 1 shard(s)"), std::string::npos);
+  std::string prof =
+      shell.Execute(std::string("vprof 1 ") + vision::FindFigure("fig7_1")->viewcl);
+  ASSERT_NE(prof.find("vprof pane 1"), std::string::npos) << prof;
+  std::string stats = shell.Execute("vctrl stats");
+  EXPECT_NE(stats.find("check: 1 sweep(s)"), std::string::npos) << stats;
+}
+
 }  // namespace

@@ -1,9 +1,10 @@
 // Incremental refresh correctness: the dirty-page journal over the arena,
-// Target's charged dirty-log queries, ReadSession delta invalidation (with
-// the all-dirty fallback), dirty-aware prefetch, viewcl memo replay, the
-// pane render-digest cache — and the end-to-end contract that incremental
-// refreshes render byte-identically to cold-cache extractions for every
-// figure, across epoch skew.
+// Target's charged dirty-log queries, ReadSession delta invalidation (the
+// one-batch refresh of touched stale blocks, with the all-dirty fallback),
+// viewcl memo replay, the pane render-digest cache — and the end-to-end
+// contract that incremental refreshes render byte-identically to cold-cache
+// extractions for every figure, across epoch skew, including a randomized
+// differential test of a served dashboard against a raw reference.
 
 #include <gtest/gtest.h>
 #include <sys/mman.h>
@@ -15,10 +16,14 @@
 #include <optional>
 #include <vector>
 
+#include "src/analysis/check.h"
 #include "src/dbg/kernel_introspect.h"
 #include "src/dbg/read_session.h"
 #include "src/dbg/target.h"
+#include "src/serve/server.h"
+#include "src/support/metrics.h"
 #include "src/support/rng.h"
+#include "src/support/trace.h"
 #include "src/viewcl/interp.h"
 #include "src/vision/figures.h"
 #include "src/vision/panes.h"
@@ -168,6 +173,7 @@ class KernelMutator {
   }
 
   vkern::Kernel* kernel() { return kernel_.get(); }
+  vkern::Workload* workload() { return workload_.get(); }
 
   void Step() {
     int cpu = static_cast<int>(rng_.NextBelow(vkern::kNrCpus));
@@ -341,6 +347,11 @@ class FlatDirtyMemory : public MemoryDomain {
     if (addr + len > bytes_.size()) {
       return false;
     }
+    for (const auto& [first, last] : holes_) {
+      if (addr < last && addr + len > first) {
+        return false;
+      }
+    }
     std::memcpy(out, bytes_.data() + addr, len);
     return true;
   }
@@ -364,6 +375,12 @@ class FlatDirtyMemory : public MemoryDomain {
     bytes_[addr] = value;
     dirty_[addr / kPage] = generation_;
   }
+  // Makes [addr, addr+len) unreadable: one epoch, its page dirtied.
+  void Unmap(uint64_t addr, size_t len) {
+    ++generation_;
+    holes_.emplace_back(addr, addr + len);
+    dirty_[addr / kPage] = generation_;
+  }
   void MutateAllPages() {
     ++generation_;
     for (uint64_t page = 0; page < bytes_.size() / kPage; ++page) {
@@ -376,6 +393,7 @@ class FlatDirtyMemory : public MemoryDomain {
   std::vector<uint8_t> bytes_;
   uint64_t generation_ = 0;
   std::map<uint64_t, uint64_t> dirty_;  // page index -> last dirty generation
+  std::vector<std::pair<uint64_t, uint64_t>> holes_;  // unreadable [first, last)
 };
 
 TEST(DeltaInvalidationTest, EvictsOnlyBlocksOnDirtyPages) {
@@ -383,26 +401,39 @@ TEST(DeltaInvalidationTest, EvictsOnlyBlocksOnDirtyPages) {
   Target target(&memory, LatencyModel::Free());
   ReadSession session(&target, CacheConfig::Incremental());
   ASSERT_TRUE(session.delta_enabled());
+  const uint64_t block = session.config().block_bytes;
 
-  ASSERT_TRUE(session.ReadUnsigned(0, 8).ok());          // page 0
+  ASSERT_TRUE(session.ReadUnsigned(0, 8).ok());          // page 0, first block
+  ASSERT_TRUE(session.ReadUnsigned(block, 8).ok());      // page 0, second block
   ASSERT_TRUE(session.ReadUnsigned(2 * kPage, 8).ok());  // page 2
-  EXPECT_EQ(target.reads(), 2u);
+  EXPECT_EQ(target.reads(), 3u);
 
   memory.Mutate(0, 0xEE);
 
-  // The clean page survives the epoch change: no refetch.
+  // The epoch change re-reads the dirty page's two blocks in one batch; the
+  // clean page survives as it was.
   ASSERT_TRUE(session.ReadUnsigned(2 * kPage, 8).ok());
-  EXPECT_EQ(target.reads(), 2u);
+  EXPECT_EQ(target.reads(), 4u);
   EXPECT_EQ(session.cache_stats().delta_invalidations, 1u);
   EXPECT_EQ(session.cache_stats().invalidations, 0u);
-  EXPECT_GT(session.cache_stats().invalidated_bytes_delta, 0u);
+  EXPECT_EQ(session.cache_stats().refreshed_blocks, 2u);
+  EXPECT_EQ(session.cache_stats().invalidated_bytes_delta, 0u);
   EXPECT_EQ(session.cache_stats().invalidated_bytes_full, 0u);
 
-  // The dirty page was evicted: refetch sees the new byte.
+  // The refreshed block serves the new byte with no further read.
   auto fresh = session.ReadUnsigned(0, 1);
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(*fresh, 0xEEu);
-  EXPECT_EQ(target.reads(), 3u);
+  EXPECT_EQ(target.reads(), 4u);
+
+  // Nobody touched the second block since its refresh fetched it: the next
+  // dirtying of page 0 evicts it and re-reads only the first.
+  memory.Mutate(1, 0xDD);
+  EXPECT_EQ(session.SyncEpoch(), memory.generation());
+  EXPECT_EQ(target.reads(), 5u);
+  EXPECT_EQ(session.cache_stats().refreshed_blocks, 3u);
+  EXPECT_EQ(session.cache_stats().invalidated_bytes_delta, block);
+  EXPECT_EQ(session.cached_blocks(), 2u);
 }
 
 TEST(DeltaInvalidationTest, AllPagesDirtyFallsBackToFullFlush) {
@@ -472,10 +503,11 @@ TEST(DeltaInvalidationTest, RangeCleanSinceTracksDirtyHistory) {
   EXPECT_TRUE(session.RangeCleanSince(3 * kPage, 8, session.epoch()));
 }
 
-TEST(DeltaInvalidationTest, DirtyAwarePrefetchWarmsOnlyDirtyPages) {
+TEST(DeltaInvalidationTest, RePrefetchOfRefreshedObjectReadsNothing) {
   FlatDirtyMemory memory(16 * kPage);
   Target target(&memory, LatencyModel::Free());
   ReadSession session(&target, CacheConfig::Incremental());
+  const uint64_t blocks_per_page = kPage / session.config().block_bytes;
 
   // A fake 2-page object type.
   Type object;
@@ -483,20 +515,144 @@ TEST(DeltaInvalidationTest, DirtyAwarePrefetchWarmsOnlyDirtyPages) {
   object.size = 2 * kPage;
 
   session.PrefetchObject(0, &object);
-  uint64_t reads_cold = target.reads();
-  EXPECT_GT(reads_cold, 0u);
+  EXPECT_EQ(target.reads(), 2 * blocks_per_page);
 
-  // Dirty only the second page, then re-prefetch: only that page's blocks
-  // refetch.
+  // Dirty only the second page: the epoch change refreshes its blocks in one
+  // batch, so re-prefetching the object finds every block fresh.
   memory.Mutate(kPage + 8, 0x55);
+  session.SyncEpoch();
+  EXPECT_EQ(target.reads(), 2 * blocks_per_page + 1);
+  EXPECT_EQ(session.cache_stats().refreshed_blocks, blocks_per_page);
   session.PrefetchObject(0, &object);
-  uint64_t blocks_per_page = kPage / session.config().block_bytes;
-  EXPECT_EQ(target.reads(), reads_cold + blocks_per_page);
-  EXPECT_EQ(session.cache_stats().delta_prefetches, 1u);
+  EXPECT_EQ(target.reads(), 2 * blocks_per_page + 1);
+  auto fresh = session.ReadUnsigned(kPage + 8, 1);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(*fresh, 0x55u);
+  EXPECT_EQ(target.reads(), 2 * blocks_per_page + 1);
+}
 
-  // Clean re-prefetch: free.
-  session.PrefetchObject(0, &object);
-  EXPECT_EQ(target.reads(), reads_cold + blocks_per_page);
+// --- the delta refresh --------------------------------------------------------
+
+TEST(DeltaRefreshTest, RefreshIsOneChargedRead) {
+  FlatDirtyMemory memory(16 * kPage);
+  LatencyModel model{"test", 1000, 10, 50'000};
+  Target target(&memory, model);
+  ReadSession session(&target, CacheConfig::Incremental());
+  const uint64_t block = session.config().block_bytes;
+
+  // Three blocks on two pages that will be dirtied, one on a clean page.
+  for (uint64_t addr : {uint64_t{0}, block, kPage, 5 * kPage}) {
+    ASSERT_TRUE(session.ReadUnsigned(addr, 8).ok());
+  }
+  const CacheStats before = session.cache_stats();
+  memory.Mutate(8, 0x11);
+  memory.Mutate(kPage + 8, 0x22);
+
+  const uint64_t clock = target.clock().nanos();
+  const uint64_t reads = target.reads();
+  const uint64_t bytes = target.bytes_read();
+  session.SyncEpoch();
+  const uint64_t query = model.dirty_query_ns + model.per_byte_ns * ((16 + 7) / 8);
+  EXPECT_EQ(target.reads() - reads, 1u);
+  EXPECT_EQ(target.bytes_read() - bytes, 3 * block);
+  EXPECT_EQ(target.clock().nanos() - clock,
+            query + model.per_access_ns + model.per_byte_ns * 3 * block);
+
+  const CacheStats& after = session.cache_stats();
+  EXPECT_EQ(after.refreshed_blocks, 3u);
+  EXPECT_EQ(after.refreshed_bytes, 3 * block);
+  // The miss counters stay with miss-driven fetches.
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.block_fetches, before.block_fetches);
+  EXPECT_EQ(after.fetched_bytes, before.fetched_bytes);
+  EXPECT_EQ(after.vector_batches, before.vector_batches);
+  EXPECT_EQ(after.vector_blocks, before.vector_blocks);
+
+  // Fresh bytes, served with no further read.
+  auto first = session.ReadUnsigned(8, 1);
+  auto second = session.ReadUnsigned(kPage + 8, 1);
+  ASSERT_TRUE(first.ok() && second.ok());
+  EXPECT_EQ(*first, 0x11u);
+  EXPECT_EQ(*second, 0x22u);
+  EXPECT_EQ(target.reads() - reads, 1u);
+}
+
+TEST(DeltaRefreshTest, RefreshIsChargedToTheCacheNotTheReader) {
+  FlatDirtyMemory memory(16 * kPage);
+  Target target(&memory, LatencyModel::Free());
+  ReadSession session(&target, CacheConfig::Incremental());
+  vl::Tracer& tracer = vl::Tracer::Instance();
+  vl::MetricsRegistry& metrics = vl::MetricsRegistry::Instance();
+  tracer.Enable();
+  metrics.ResetPrefix("dbg.read");
+  {
+    ReadSession::TagScope tag(&session, "task_struct");
+    ASSERT_TRUE(session.ReadUnsigned(0, 8).ok());
+    memory.Mutate(8, 0x33);
+    ASSERT_TRUE(session.ReadUnsigned(0, 8).ok());  // notices the epoch change
+  }
+  tracer.Disable();
+  EXPECT_EQ(metrics.GetCounter("dbg.read.by_type.task_struct")->value(), 1u);
+  EXPECT_EQ(metrics.GetCounter("dbg.read.by_type.cache.refresh")->value(), 1u);
+  EXPECT_EQ(metrics.GetCounter("dbg.read.bytes.by_type.cache.refresh")->value(),
+            session.config().block_bytes);
+  metrics.ResetPrefix("dbg.read");
+}
+
+TEST(DeltaRefreshTest, UnreadRefreshedBlockIsReadAtMostOnce) {
+  FlatDirtyMemory memory(16 * kPage);
+  Target target(&memory, LatencyModel::Free());
+  ReadSession session(&target, CacheConfig::Incremental());
+  const uint64_t block = session.config().block_bytes;
+  ASSERT_TRUE(session.ReadUnsigned(0, 8).ok());
+  EXPECT_EQ(target.reads(), 1u);
+
+  // Read once, so the first dirtying refreshes it; nobody reads it after
+  // that, so the second evicts it and later ones find nothing to do.
+  for (uint8_t value : {0x01, 0x02, 0x03}) {
+    memory.Mutate(8, value);
+    session.SyncEpoch();
+    EXPECT_EQ(target.reads(), 2u) << "value " << int{value};
+  }
+  EXPECT_EQ(session.cache_stats().refreshed_blocks, 1u);
+  EXPECT_EQ(session.cache_stats().invalidated_bytes_delta, block);
+  EXPECT_EQ(session.cached_blocks(), 0u);
+
+  // A later read misses and fetches the current bytes.
+  auto value = session.ReadUnsigned(8, 1);
+  ASSERT_TRUE(value.ok());
+  EXPECT_EQ(*value, 0x03u);
+  EXPECT_EQ(target.reads(), 3u);
+}
+
+TEST(DeltaRefreshTest, UnreadableSpanIsEvictedAndReadsFallBack) {
+  FlatDirtyMemory memory(16 * kPage);
+  Target target(&memory, LatencyModel::Free());
+  ReadSession session(&target, CacheConfig::Incremental());
+  const uint64_t block = session.config().block_bytes;
+  const uint64_t base = 3 * kPage;
+  ASSERT_TRUE(session.ReadUnsigned(base, 8).ok());
+
+  // The block's upper half goes away: the refresh batch cannot read it.
+  memory.Unmap(base + block / 2, block / 2);
+  session.SyncEpoch();
+  EXPECT_EQ(target.reads(), 2u);
+  EXPECT_EQ(session.cache_stats().refreshed_blocks, 0u);
+  EXPECT_EQ(session.cache_stats().invalidated_bytes_delta, block);
+  EXPECT_EQ(session.cached_blocks(), 0u);
+
+  // The later read takes the exact-range fallback, even while deferring.
+  session.set_deferring(true);
+  EXPECT_FALSE(session.WouldDefer(base, 8));
+  auto value = session.ReadUnsigned(base, 8);
+  session.set_deferring(false);
+  ASSERT_TRUE(value.ok());
+  uint64_t direct = 0;
+  ASSERT_TRUE(target.ReadBytes(base, &direct, 8).ok());
+  EXPECT_EQ(*value, direct);
+  EXPECT_EQ(session.deferrals(), 0u);
+  EXPECT_EQ(session.cache_stats().uncached_reads, 1u);
+  EXPECT_EQ(session.cache_stats().block_fetches, 1u);  // the first read only
 }
 
 // --- charged dirty-log queries ----------------------------------------------
@@ -753,6 +909,188 @@ TEST_F(RenderDigestTest, DifferentBackendsAndOptionsCacheSeparately) {
   EXPECT_EQ(panes.RenderPane(1), ascii);
   EXPECT_EQ(panes.RenderPane(1, vision::RenderOptions{}, "dot"), dot);
   EXPECT_EQ(panes.render_digest_hits(), 2u);
+}
+
+// --- the refresh under an incremental sweep ---------------------------------
+
+class DeltaRefreshSweepTest : public vltest::WorkloadKernelTest {};
+
+// After a warm sweep, one CPU tick dirties blocks the sweep reads. The
+// refresh re-reads them in one batch, so the incremental sweep that follows
+// drops none of them and fetches singly only blocks no sweep had cached.
+TEST_F(DeltaRefreshSweepTest, IncrementalSweepAfterTickRefetchesNoBlockTheLastSweepRead) {
+  KernelDebugger debugger(kernel_.get(), LatencyModel::GdbQemu(),
+                          vserve::SessionOptions{}.ToCacheConfig());
+  vision::RegisterFigureSymbols(&debugger, workload_.get());
+  vserve::Server server;
+  ASSERT_TRUE(server.AddShard("local", &debugger).ok());
+  ASSERT_TRUE(server.Sweep().ok());  // cold
+  ASSERT_TRUE(server.Sweep().ok());  // warm: every block it reads is cached
+  ReadSession& session = debugger.session();
+  const CacheStats warm = session.cache_stats();
+  const size_t cached = session.cached_blocks();
+
+  kernel_->TickCpu(0);
+  auto sweep = server.Sweep("", /*incremental=*/true);
+  ASSERT_TRUE(sweep.ok());
+  ASSERT_TRUE(sweep->reconciled());
+  EXPECT_GT(sweep->rules_run(), 0u);
+  const CacheStats& now = session.cache_stats();
+  EXPECT_GT(now.refreshed_blocks, warm.refreshed_blocks);
+  // No block the warm sweep read was dropped...
+  EXPECT_EQ(now.invalidated_bytes_delta, warm.invalidated_bytes_delta);
+  EXPECT_EQ(now.invalidated_bytes_full, warm.invalidated_bytes_full);
+  EXPECT_EQ(now.evictions, warm.evictions);
+  // ...so every fetch brought in a block that was not cached before.
+  EXPECT_EQ(session.cached_blocks() - cached, (now.block_fetches - warm.block_fetches) +
+                                                  (now.vector_blocks - warm.vector_blocks));
+}
+
+// --- randomized differential staleness test ---------------------------------
+
+// vbench's step_dashboard panes.
+const char* const kDashboard[] = {"fig3_4", "fig7_1", "fig8_2", "fig12_3", "fig14_3", "fig15_1"};
+
+const char* ObjectiveFor(const std::string& figure_id) {
+  for (const vision::ObjectiveDef& objective : vision::AllObjectives()) {
+    if (figure_id == objective.figure_id) {
+      return objective.viewql;
+    }
+  }
+  return nullptr;
+}
+
+// Renders and sweeps from scratch on every call: raw transport
+// (block_bytes = 0), a private engine, no dedup, no render cache, a fresh
+// check engine. Built before the served debugger, as vbench's oracle is, so
+// that the served dirty-log baseline covers the reference's construction
+// writes (its in-arena state-string table).
+class RawReference {
+ public:
+  RawReference(vkern::Kernel* kernel, vkern::Workload* workload)
+      : debugger_(kernel, LatencyModel::Free(), CacheConfig::Disabled()) {
+    vision::RegisterFigureSymbols(&debugger_, workload);
+    (void)server_.AddShard("reference", &debugger_);
+  }
+
+  vl::StatusOr<std::string> Render(const vision::FigureDef& figure) {
+    vserve::SessionOptions raw;
+    raw.block_bytes = 0;
+    raw.incremental = false;
+    raw.shared_engines = false;
+    raw.coalesce = false;
+    raw.render_cache = false;
+    VL_ASSIGN_OR_RETURN(vserve::Client client, server_.Connect(raw));
+    VL_RETURN_IF_ERROR(client->Plot(1, figure.viewcl).status());
+    if (const char* objective = ObjectiveFor(figure.id)) {
+      VL_RETURN_IF_ERROR(client->Apply(1, objective));
+    }
+    return client->Render(1);
+  }
+
+  analysis::CheckReport Sweep() {
+    analysis::CheckEngine engine(&debugger_.types(), &debugger_.symbols(), &debugger_.session());
+    return engine.RunAll();
+  }
+
+ private:
+  KernelDebugger debugger_;
+  vserve::Server server_;  // destroyed before the debugger it fronts
+};
+
+// Every violation of a sweep, as "rule@addr: message".
+std::vector<std::string> Verdicts(const analysis::CheckReport& report) {
+  std::vector<std::string> out;
+  for (const analysis::CheckRuleReport& rule : report.rules) {
+    for (const analysis::CheckViolation& v : rule.violations) {
+      out.push_back(rule.id + "@" + std::to_string(v.addr) + ": " + v.diagnostic.message);
+    }
+  }
+  return out;
+}
+
+// A served 6-pane dashboard, every reuse layer on, is refreshed and swept
+// incrementally after each random step; every pane must render exactly as
+// the raw reference does, and the incremental sweep must reach RunAll's
+// verdicts. Besides KernelMutator's steps, the test renames tasks (the
+// bytes a pane shows) and corrupts then repairs an RCU callback count (a
+// verdict VC008 must follow), each with a generation bump.
+TEST(IncrementalFuzzTest, ServedDashboardMatchesRawReference) {
+  constexpr int kSteps = 30;
+  for (uint64_t seed : {101u, 202u, 303u}) {
+    KernelMutator mutator(seed);
+    vkern::Kernel* kernel = mutator.kernel();
+    vkern::Workload* workload = mutator.workload();
+    vl::Rng rng(seed);
+    RawReference reference(kernel, workload);
+    KernelDebugger debugger(kernel, LatencyModel::GdbQemu());
+    vision::RegisterFigureSymbols(&debugger, workload);
+    vserve::Server server;
+    ASSERT_TRUE(server.AddShard("served", &debugger).ok());
+    auto client = server.Connect();
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    std::vector<std::pair<int, const vision::FigureDef*>> panes;
+    for (const char* id : kDashboard) {
+      const vision::FigureDef* figure = vision::FindFigure(id);
+      ASSERT_NE(figure, nullptr) << id;
+      int pane = 1;
+      if (!panes.empty()) {
+        auto split = (*client)->Split(panes.back().first, 'h');
+        ASSERT_TRUE(split.ok()) << id;
+        pane = *split;
+      }
+      ASSERT_TRUE((*client)->Plot(pane, figure->viewcl).ok()) << id;
+      if (const char* objective = ObjectiveFor(id)) {
+        ASSERT_TRUE((*client)->Apply(pane, objective).ok()) << id;
+      }
+      panes.emplace_back(pane, figure);
+    }
+    ASSERT_TRUE(server.Sweep().ok());
+
+    std::optional<int> corrupted_cpu;
+    for (int step = 0; step < kSteps; ++step) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << ", step " << step);
+      switch (rng.NextBelow(8)) {
+        case 0: {
+          const std::vector<vkern::task_struct*>& tasks = workload->user_tasks();
+          vkern::task_struct* task = tasks[rng.NextBelow(tasks.size())];
+          size_t len = std::strlen(task->comm);
+          if (len != 0) {
+            task->comm[rng.NextBelow(len)] = static_cast<char>('a' + rng.NextBelow(26));
+          }
+          kernel->BumpGeneration();
+          break;
+        }
+        case 1: {
+          int cpu = corrupted_cpu.value_or(static_cast<int>(rng.NextBelow(vkern::kNrCpus)));
+          vkern::rcu_data& rdp = kernel->rcu_data_array()[cpu];
+          rdp.cblist_len = corrupted_cpu ? rdp.cblist_len - 2 : rdp.cblist_len + 2;
+          corrupted_cpu = corrupted_cpu ? std::nullopt : std::optional<int>(cpu);
+          kernel->BumpGeneration();
+          break;
+        }
+        default:
+          mutator.Step();
+          break;
+      }
+      for (const auto& [pane, figure] : panes) {
+        auto served = (*client)->Refresh(pane);
+        ASSERT_TRUE(served.ok()) << figure->id << ": " << served.status().ToString();
+        auto want = reference.Render(*figure);
+        ASSERT_TRUE(want.ok()) << figure->id << ": " << want.status().ToString();
+        ASSERT_TRUE(served->render == *want)
+            << figure->id << " differs from the raw reference:\n"
+            << served->render << "\n--- reference ---\n"
+            << *want;
+      }
+      auto sweep = server.Sweep("", /*incremental=*/true);
+      ASSERT_TRUE(sweep.ok());
+      ASSERT_TRUE(sweep->reconciled());
+      ASSERT_EQ(Verdicts(sweep->shards.front().report), Verdicts(reference.Sweep()));
+    }
+    // The steps exercised the refresh.
+    EXPECT_GT(debugger.session().cache_stats().refreshed_blocks, 0u);
+  }
 }
 
 }  // namespace
