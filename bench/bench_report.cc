@@ -438,22 +438,23 @@ vl::Json MeasureLint(vlbench::BenchEnv& env) {
   return j;
 }
 
-// full ÷ incremental, or null when the incremental side charged nothing (the
-// extraction before each sweep is its first reader after the tick, so the
-// delta refresh has already re-read every block the sweep reads).
-vl::Json Speedup(uint64_t full_ns, uint64_t incremental_ns) {
-  return incremental_ns > 0
-             ? vl::Json::Number(static_cast<double>(full_ns) / static_cast<double>(incremental_ns))
+// full ÷ delta, or null when the delta side charged nothing (the extraction
+// before each sweep is its first reader after the tick, so the delta refresh
+// has already re-read every block the sweep reads).
+vl::Json Speedup(uint64_t full_ns, uint64_t delta_ns) {
+  return delta_ns > 0
+             ? vl::Json::Number(static_cast<double>(full_ns) / static_cast<double>(delta_ns))
              : vl::Json::Null();
 }
 
-// vcheck: full vs incremental invariant sweeps across the figure corpus. Two
-// engines audit the same kernel: `full` re-runs all eleven rules per sweep
-// (a CPU tick bumps the generation, so its classic cache flushes and every
-// byte is re-fetched); `delta` rides a delta-enabled session and skips rules
-// whose recorded page footprint stayed clean. Per figure: one CPU tick + one
-// figure extraction (the dashboard refresh a sweep piggybacks on), then both
-// sweeps. Every sweep must reconcile with Target::clock() and stay clean.
+// vcheck: invariant sweeps on a full-flush session vs a delta session across
+// the figure corpus. Two engines audit the same kernel with all eleven rules
+// per sweep: `full` rides a classic session (a CPU tick bumps the generation,
+// so its cache flushes and every byte is re-fetched); `delta` rides a
+// delta-enabled session, whose refresh re-reads only the stale blocks. Per
+// figure: one CPU tick + one figure extraction on the delta session (the
+// dashboard refresh a sweep piggybacks on), then both sweeps. Every sweep
+// must reconcile with Target::clock() and stay clean.
 vl::Json MeasureCheck(vlbench::BenchEnv& env) {
   dbg::KernelDebugger full(env.kernel.get(), dbg::LatencyModel::GdbQemu());
   // Constructed second: the delta session's dirty-page journal baselines at
@@ -468,10 +469,10 @@ vl::Json MeasureCheck(vlbench::BenchEnv& env) {
 
   vl::Json j = vl::Json::Object();
   j["workload"] = vl::Json::Str(
-      "per figure: one cpu tick + one figure extraction, then a full "
-      "11-rule sweep vs an incremental re-sweep with footprint skipping");
+      "per figure: one cpu tick + one figure extraction, then an 11-rule "
+      "sweep on a full-flush session vs on a delta-refresh session");
 
-  // Warm both engines: incremental steady state starts after one full audit.
+  // Warm both engines: the steady state starts after one audit each.
   bool ok = full_engine.RunAll().reconciled && delta_engine.RunAll().reconciled;
 
   vl::Json cells = vl::Json::Array();
@@ -488,39 +489,25 @@ vl::Json MeasureCheck(vlbench::BenchEnv& env) {
     ok = ok && interp.RunProgram(figure.viewcl).ok();
 
     analysis::CheckReport full_report = full_engine.RunAll();
-    analysis::CheckReport inc_report = delta_engine.RunIncremental();
-    ok = ok && full_report.reconciled && inc_report.reconciled;
-    violations += full_report.violations() + inc_report.violations();
+    analysis::CheckReport delta_report = delta_engine.RunAll();
+    ok = ok && full_report.reconciled && delta_report.reconciled;
+    violations += full_report.violations() + delta_report.violations();
     full_total += full_report.clock_delta_ns;
-    delta_total += inc_report.clock_delta_ns;
+    delta_total += delta_report.clock_delta_ns;
 
     vl::Json cell = vl::Json::Object();
     cell["figure"] = vl::Json::Str(figure.id);
     cell["full_ns"] = vl::Json::Int(static_cast<int64_t>(full_report.clock_delta_ns));
-    cell["incremental_ns"] =
-        vl::Json::Int(static_cast<int64_t>(inc_report.clock_delta_ns));
-    cell["skipped"] = vl::Json::Int(static_cast<int64_t>(inc_report.rules_skipped()));
-    cell["reran"] = vl::Json::Int(static_cast<int64_t>(inc_report.rules_run()));
-    cell["speedup"] = Speedup(full_report.clock_delta_ns, inc_report.clock_delta_ns);
+    cell["delta_ns"] = vl::Json::Int(static_cast<int64_t>(delta_report.clock_delta_ns));
+    cell["speedup"] = Speedup(full_report.clock_delta_ns, delta_report.clock_delta_ns);
     cell["reconciled"] =
-        vl::Json::Bool(full_report.reconciled && inc_report.reconciled);
+        vl::Json::Bool(full_report.reconciled && delta_report.reconciled);
     cells.Append(std::move(cell));
   }
 
-  // Quiescent re-sweep: no mutation since the last audit, so every rule's
-  // footprint is clean and the whole catalog is skipped. (After a CPU tick
-  // the rules all re-run — every walk crosses a dirtied task/rq page — and
-  // the per-figure speedup above comes from page-level delta cache
-  // retention instead.)
-  analysis::CheckReport quiescent = delta_engine.RunIncremental();
-  ok = ok && quiescent.reconciled &&
-       quiescent.rules_skipped() == analysis::CheckEngine::Catalog().size();
-  j["quiescent_skipped"] = vl::Json::Int(static_cast<int64_t>(quiescent.rules_skipped()));
-  j["quiescent_ns"] = vl::Json::Int(static_cast<int64_t>(quiescent.clock_delta_ns));
-
   j["figures"] = std::move(cells);
   j["full_ns"] = vl::Json::Int(static_cast<int64_t>(full_total));
-  j["incremental_ns"] = vl::Json::Int(static_cast<int64_t>(delta_total));
+  j["delta_ns"] = vl::Json::Int(static_cast<int64_t>(delta_total));
   j["speedup"] = Speedup(full_total, delta_total);
   j["violations"] = vl::Json::Int(static_cast<int64_t>(violations));
   j["passed"] =
@@ -931,7 +918,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Invariant sweeps: full vs incremental vcheck charge across the corpus.
+  // Invariant sweeps: full-flush vs delta-session vcheck charge across the
+  // corpus.
   const char* check_path = argc > 8 ? argv[8] : "BENCH_check.json";
   vl::Json check_report = MeasureCheck(env);
   const vl::Json* check_passed = check_report.Find("passed");
@@ -939,9 +927,9 @@ int main(int argc, char** argv) {
   std::string speedup = check_speedup != nullptr && !check_speedup->is_null()
                             ? vl::StrFormat("%.1fx", check_speedup->AsNumber())
                             : "unbounded";
-  std::printf("  check full %s ns vs incremental %s ns, speedup %s, passed=%s\n",
+  std::printf("  check full flush %s ns vs delta %s ns, speedup %s, passed=%s\n",
               check_report.Find("full_ns")->Dump(0).c_str(),
-              check_report.Find("incremental_ns")->Dump(0).c_str(), speedup.c_str(),
+              check_report.Find("delta_ns")->Dump(0).c_str(), speedup.c_str(),
               check_passed != nullptr && check_passed->AsBool() ? "true" : "false");
   std::ofstream check_file(check_path);
   if (!check_file) {

@@ -8,7 +8,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "src/support/metrics.h"
 #include "src/support/trace.h"
 
 namespace analysis {
@@ -25,9 +24,6 @@ constexpr uint32_t kPipeCanMerge = 1u << 4;    // PIPE_BUF_FLAG_CAN_MERGE
 constexpr uint64_t kPgAnon = 1ull << 11;       // PG_anon
 constexpr uint64_t kMtMaxIndex = ~0ull;        // maple-tree index space bound
 constexpr uint64_t kPageSize = 4096;
-
-// Matches ReadSession's page-scope granule.
-constexpr uint64_t kPageGranule = 4096;
 
 // Traversal bounds: a corrupted pointer chain must terminate the walk, not
 // the process.
@@ -1231,12 +1227,9 @@ vl::Json CheckRuleReport::ToJson() const {
   vl::Json j = vl::Json::Object();
   j["id"] = vl::Json::Str(id);
   j["name"] = vl::Json::Str(name);
-  j["ran"] = vl::Json::Bool(ran);
-  j["skipped_clean"] = vl::Json::Bool(skipped_clean);
   j["reads"] = vl::Json::Int(static_cast<int64_t>(reads));
   j["bytes"] = vl::Json::Int(static_cast<int64_t>(bytes));
   j["charged_ns"] = vl::Json::Int(static_cast<int64_t>(charged_ns));
-  j["footprint_pages"] = vl::Json::Int(static_cast<int64_t>(footprint.size()));
   vl::Json v = vl::Json::Array();
   for (const CheckViolation& violation : violations) {
     v.Append(violation.ToJson());
@@ -1252,17 +1245,7 @@ size_t CheckReport::violations() const {
   return n;
 }
 
-size_t CheckReport::rules_run() const {
-  size_t n = 0;
-  for (const CheckRuleReport& r : rules) n += r.ran ? 1 : 0;
-  return n;
-}
-
-size_t CheckReport::rules_skipped() const {
-  size_t n = 0;
-  for (const CheckRuleReport& r : rules) n += r.skipped_clean ? 1 : 0;
-  return n;
-}
+size_t CheckReport::rules_run() const { return rules.size(); }
 
 vl::DiagnosticList CheckReport::Diagnostics() const {
   vl::DiagnosticList list;
@@ -1277,9 +1260,7 @@ vl::DiagnosticList CheckReport::Diagnostics() const {
 
 vl::Json CheckReport::ToJson() const {
   vl::Json j = vl::Json::Object();
-  j["incremental"] = vl::Json::Bool(incremental);
   j["rules_run"] = vl::Json::Int(static_cast<int64_t>(rules_run()));
-  j["rules_skipped"] = vl::Json::Int(static_cast<int64_t>(rules_skipped()));
   j["violations"] = vl::Json::Int(static_cast<int64_t>(violations()));
   j["reads"] = vl::Json::Int(static_cast<int64_t>(reads));
   j["bytes"] = vl::Json::Int(static_cast<int64_t>(bytes));
@@ -1298,14 +1279,9 @@ vl::Json CheckReport::ToJson() const {
 std::string CheckReport::RenderText() const {
   std::string out;
   for (const CheckRuleReport& r : rules) {
-    out += r.id + " " + r.name + ": ";
-    if (r.skipped_clean) {
-      out += "skipped (footprint clean)";
-    } else {
-      out += std::to_string(r.violations.size()) + " violation(s), " +
-             std::to_string(r.reads) + " reads, " + std::to_string(r.charged_ns) + " ns";
-    }
-    out.push_back('\n');
+    out += r.id + " " + r.name + ": " + std::to_string(r.violations.size()) +
+           " violation(s), " + std::to_string(r.reads) + " reads, " +
+           std::to_string(r.charged_ns) + " ns\n";
     for (const CheckViolation& v : r.violations) {
       out += "  " + std::string(vl::SeverityName(v.diagnostic.severity)) + "[" +
              v.diagnostic.rule + "]: " + v.diagnostic.message + "\n";
@@ -1320,18 +1296,51 @@ std::string CheckReport::RenderText() const {
     }
   }
   out += "vcheck: " + std::to_string(rules_run()) + " rule(s) run, " +
-         std::to_string(rules_skipped()) + " skipped, " + std::to_string(violations()) +
-         " violation(s), " + std::to_string(charged_ns + sync_ns) + " ns charged (" +
+         std::to_string(violations()) + " violation(s), " +
+         std::to_string(charged_ns + sync_ns) + " ns charged (" +
          (reconciled ? "reconciles" : "DOES NOT reconcile") + " with Target::clock())\n";
   return out;
+}
+
+namespace {
+
+constexpr std::pair<const char*, uint64_t CheckStats::*> kCheckStatsFields[] = {
+    {"sweeps", &CheckStats::sweeps},         {"rules_run", &CheckStats::rules_run},
+    {"violations", &CheckStats::violations}, {"reads", &CheckStats::reads},
+    {"read_bytes", &CheckStats::read_bytes}, {"charged_ns", &CheckStats::charged_ns},
+};
+
+}  // namespace
+
+void CheckStats::Add(const CheckReport& report) {
+  sweeps++;
+  rules_run += report.rules_run();
+  violations += report.violations();
+  reads += report.reads;
+  read_bytes += report.bytes;
+  charged_ns += report.charged_ns + report.sync_ns;
+}
+
+CheckStats& CheckStats::operator+=(const CheckStats& other) {
+  for (const auto& [name, field] : kCheckStatsFields) {
+    this->*field += other.*field;
+  }
+  return *this;
+}
+
+vl::Json CheckStats::ToJson() const {
+  vl::Json j = vl::Json::Object();
+  for (const auto& [name, field] : kCheckStatsFields) {
+    j[name] = vl::Json::Int(static_cast<int64_t>(this->*field));
+  }
+  return j;
 }
 
 // ---- engine ---------------------------------------------------------------
 
 CheckEngine::CheckEngine(const dbg::TypeRegistry* types, const dbg::SymbolTable* symbols,
                          dbg::ReadSession* session)
-    : types_(types), symbols_(symbols), session_(session),
-      states_(CatalogImpl().size()) {}
+    : types_(types), symbols_(symbols), session_(session) {}
 
 const std::vector<CheckRuleInfo>& CheckEngine::Catalog() { return CatalogImpl(); }
 
@@ -1344,17 +1353,9 @@ const CheckRuleInfo* CheckEngine::FindRule(std::string_view id_or_name) {
   return nullptr;
 }
 
-void CheckEngine::AddSuspect(uint64_t addr) {
-  suspects_.push_back(addr);
-  ++suspects_gen_;
-}
+void CheckEngine::AddSuspect(uint64_t addr) { suspects_.push_back(addr); }
 
-void CheckEngine::ClearSuspects() {
-  if (!suspects_.empty()) {
-    ++suspects_gen_;
-  }
-  suspects_.clear();
-}
+void CheckEngine::ClearSuspects() { suspects_.clear(); }
 
 CheckRuleReport CheckEngine::ExecuteRule(size_t idx) {
   const CheckRuleInfo& info = CatalogImpl()[idx];
@@ -1366,68 +1367,17 @@ CheckRuleReport CheckEngine::ExecuteRule(size_t idx) {
   const uint64_t ns0 = target->clock().nanos();
   const uint64_t reads0 = target->reads();
   const uint64_t bytes0 = target->bytes_read();
-  session_->PushPageScope();
   {
     Checker checker(types_, symbols_, session_, &suspects_, &report);
     checker.Run(idx);
   }
-  report.footprint = session_->PopPageScope();
-  report.epoch = session_->epoch();
   report.charged_ns = target->clock().nanos() - ns0;
   report.reads = target->reads() - reads0;
   report.bytes = target->bytes_read() - bytes0;
-  report.ran = true;
-
-  RuleState& state = states_[idx];
-  state.has_run = true;
-  state.epoch = report.epoch;
-  state.suspects_gen = suspects_gen_;
-  state.last = report;
   return report;
 }
 
-bool CheckEngine::CanSkip(size_t idx) const {
-  const RuleState& state = states_[idx];
-  if (!state.has_run || state.suspects_gen != suspects_gen_) {
-    return false;
-  }
-  if (state.last.footprint.empty()) {
-    return false;  // a rule that read nothing proves nothing
-  }
-  for (uint64_t page : state.last.footprint) {
-    if (!session_->RangeCleanSince(page, kPageGranule, state.epoch)) {
-      return false;  // conservative: unknown history also lands here
-    }
-  }
-  return true;
-}
-
-void CheckEngine::FinishSweep(CheckReport* report, uint64_t clock_before,
-                              uint64_t clock_after) const {
-  for (const CheckRuleReport& r : report->rules) {
-    if (!r.ran) continue;
-    report->charged_ns += r.charged_ns;
-    report->reads += r.reads;
-    report->bytes += r.bytes;
-  }
-  report->clock_delta_ns = clock_after - clock_before;
-  report->reconciled = report->clock_delta_ns == report->charged_ns + report->sync_ns;
-
-  vl::MetricsRegistry& metrics = vl::MetricsRegistry::Instance();
-  metrics.GetCounter("check.sweeps")->Add(1);
-  metrics.GetCounter("check.rules.run")->Add(report->rules_run());
-  metrics.GetCounter("check.violations")->Add(report->violations());
-  metrics.GetCounter("check.reads")->Add(report->reads);
-  metrics.GetCounter("check.read_bytes")->Add(report->bytes);
-  metrics.GetCounter("check.charged_ns")->Add(report->charged_ns + report->sync_ns);
-  if (report->incremental) {
-    metrics.GetCounter("check.incremental.sweeps")->Add(1);
-    metrics.GetCounter("check.incremental.skipped")->Add(report->rules_skipped());
-    metrics.GetCounter("check.incremental.reran")->Add(report->rules_run());
-  }
-}
-
-CheckReport CheckEngine::RunAll() {
+CheckReport CheckEngine::Sweep(const CheckRuleInfo* only) {
   CheckReport report;
   vl::ScopedSpan span("vcheck");
   dbg::Target* target = session_->target();
@@ -1435,11 +1385,21 @@ CheckReport CheckEngine::RunAll() {
   session_->SyncEpoch();
   report.sync_ns = target->clock().nanos() - clock_before;
   for (size_t i = 0; i < CatalogImpl().size(); ++i) {
-    report.rules.push_back(ExecuteRule(i));
+    if (only == nullptr || &CatalogImpl()[i] == only) {
+      report.rules.push_back(ExecuteRule(i));
+    }
   }
-  FinishSweep(&report, clock_before, target->clock().nanos());
+  for (const CheckRuleReport& r : report.rules) {
+    report.charged_ns += r.charged_ns;
+    report.reads += r.reads;
+    report.bytes += r.bytes;
+  }
+  report.clock_delta_ns = target->clock().nanos() - clock_before;
+  report.reconciled = report.clock_delta_ns == report.charged_ns + report.sync_ns;
   return report;
 }
+
+CheckReport CheckEngine::RunAll() { return Sweep(nullptr); }
 
 vl::StatusOr<CheckReport> CheckEngine::RunOne(std::string_view id_or_name) {
   const CheckRuleInfo* info = FindRule(id_or_name);
@@ -1447,46 +1407,7 @@ vl::StatusOr<CheckReport> CheckEngine::RunOne(std::string_view id_or_name) {
     return vl::Status(vl::StatusCode::kNotFound,
                       "unknown check rule '" + std::string(id_or_name) + "'");
   }
-  CheckReport report;
-  vl::ScopedSpan span("vcheck");
-  dbg::Target* target = session_->target();
-  const uint64_t clock_before = target->clock().nanos();
-  session_->SyncEpoch();
-  report.sync_ns = target->clock().nanos() - clock_before;
-  for (size_t i = 0; i < CatalogImpl().size(); ++i) {
-    if (&CatalogImpl()[i] == info) {
-      report.rules.push_back(ExecuteRule(i));
-    }
-  }
-  FinishSweep(&report, clock_before, target->clock().nanos());
-  return report;
-}
-
-CheckReport CheckEngine::RunIncremental() {
-  CheckReport report;
-  report.incremental = true;
-  vl::ScopedSpan span("vcheck");
-  dbg::Target* target = session_->target();
-  const uint64_t clock_before = target->clock().nanos();
-  // One epoch sync primes the session's dirty-page history (charged as
-  // sync_ns); per-rule skip decisions then consult RangeCleanSince for free.
-  session_->SyncEpoch();
-  report.sync_ns = target->clock().nanos() - clock_before;
-  for (size_t i = 0; i < CatalogImpl().size(); ++i) {
-    if (CanSkip(i)) {
-      CheckRuleReport replay = states_[i].last;
-      replay.ran = false;
-      replay.skipped_clean = true;
-      replay.reads = 0;
-      replay.bytes = 0;
-      replay.charged_ns = 0;
-      report.rules.push_back(std::move(replay));
-    } else {
-      report.rules.push_back(ExecuteRule(i));
-    }
-  }
-  FinishSweep(&report, clock_before, target->clock().nanos());
-  return report;
+  return Sweep(info);
 }
 
 }  // namespace analysis

@@ -43,11 +43,9 @@
 //   VC011 workqueue-linkage   workqueue -> pwq back-pointers, worker-pool
 //                             worklist/workers list integrity + nr_workers
 //
-// Each rule records its page footprint (ReadSession page scopes) while it
-// runs. RunIncremental() re-runs only the rules whose footprint intersects
-// pages dirtied since their last run (ReadSession::RangeCleanSince over the
-// dirty-page journal primed by Target::DirtyPagesSince); clean rules are
-// skipped and their previous result replayed. Violations are
+// Every sweep runs the rules it is asked for; after a kernel step the
+// session's delta refresh re-reads the stale blocks a sweep reads in one
+// batch (docs/caching.md#incremental-invalidation). Violations are
 // vl::Diagnostics carrying the offending address plus the traversal trail
 // and an explain tree of what the rule walked.
 
@@ -101,23 +99,18 @@ struct CheckViolation {
 struct CheckRuleReport {
   std::string id;
   std::string name;
-  bool ran = false;            // body executed this sweep
-  bool skipped_clean = false;  // incremental: footprint clean, result replayed
   uint64_t reads = 0;          // transport requests charged by the body
   uint64_t bytes = 0;
   uint64_t charged_ns = 0;     // virtual-clock delta across the body
-  uint64_t epoch = 0;          // session epoch the body ran at
-  std::vector<uint64_t> footprint;  // 4 KiB page bases the body touched
   std::vector<CheckViolation> violations;
   CheckExplainNode explain;
 
   vl::Json ToJson() const;
 };
 
-// A full or incremental sweep over the catalog.
+// One sweep over the catalog (or one rule of it).
 struct CheckReport {
   std::vector<CheckRuleReport> rules;
-  bool incremental = false;
   uint64_t charged_ns = 0;     // sum of per-rule body charges
   uint64_t sync_ns = 0;        // epoch sync / dirty-log query charge
   uint64_t clock_delta_ns = 0; // Target::clock() delta across the sweep
@@ -129,7 +122,6 @@ struct CheckReport {
 
   size_t violations() const;
   size_t rules_run() const;
-  size_t rules_skipped() const;
 
   // All violations flattened into a DiagnosticList (sorted by rule ID).
   vl::DiagnosticList Diagnostics() const;
@@ -138,8 +130,25 @@ struct CheckReport {
   std::string RenderText() const;
 };
 
-// The engine. Holds only pointers (registries outlive it) plus per-rule
-// incremental state: the footprint, epoch and result of each rule's last run.
+// Cumulative accounting of the sweeps run on one shard. Server::Sweep keeps
+// one per shard under the shard lock; `vctrl stats` and the
+// vl_check_fleet_* gauges sum them over the fleet.
+struct CheckStats {
+  uint64_t sweeps = 0;
+  uint64_t rules_run = 0;
+  uint64_t violations = 0;
+  uint64_t reads = 0;
+  uint64_t read_bytes = 0;
+  uint64_t charged_ns = 0;  // rule bodies plus epoch syncs
+
+  void Add(const CheckReport& report);
+  CheckStats& operator+=(const CheckStats& other);
+  // {"sweeps", "rules_run", "violations", "reads", "read_bytes", "charged_ns"}
+  vl::Json ToJson() const;
+};
+
+// The engine. Holds only pointers (registries outlive it) plus the suspect
+// set.
 //
 // Threading: not thread-safe; callers serialize sweeps per session exactly
 // like any other ReadSession consumer (Server::Sweep takes the shard lock).
@@ -152,25 +161,16 @@ class CheckEngine {
   // Finds a rule by ID ("VC004") or name ("maple-pivots"); nullptr if unknown.
   static const CheckRuleInfo* FindRule(std::string_view id_or_name);
 
-  // Runs every rule (full sweep). Wraps the sweep in a "vcheck" trace span
-  // and bumps the check.* counters.
+  // Runs every rule (full sweep), wrapped in a "vcheck" trace span.
   CheckReport RunAll();
 
   // Runs a single rule by ID or name.
   vl::StatusOr<CheckReport> RunOne(std::string_view id_or_name);
 
-  // Incremental re-check: rules whose recorded footprint is clean since their
-  // last run (per the session's dirty-page history) are skipped and their
-  // previous result replayed; dirty or never-run rules execute. Falls back to
-  // a full run per-rule when the session has no delta invalidation (the
-  // conservative RangeCleanSince contract). Bumps check.incremental.*.
-  CheckReport RunIncremental();
-
   // Suspect addresses: pointers held by a crashed/stale reader (registers, a
   // crash report) that rules audit against allocator state. VC006 flags a
   // suspect that resolves to a *free* slab object as a use-after-free —
-  // mechanically naming StackRot's stale node. Changing the suspect set
-  // retriggers VC006 on the next incremental sweep.
+  // mechanically naming StackRot's stale node.
   void AddSuspect(uint64_t addr);
   void ClearSuspects();
   const std::vector<uint64_t>& suspects() const { return suspects_; }
@@ -180,27 +180,16 @@ class CheckEngine {
   dbg::ReadSession* session() const { return session_; }
 
  private:
-  struct RuleState {
-    bool has_run = false;
-    uint64_t epoch = 0;         // session epoch of the last executed run
-    uint64_t suspects_gen = 0;  // suspect-set generation at the last run
-    CheckRuleReport last;       // footprint + violations of the last run
-  };
-
-  // Executes rule `idx` (no skip logic), charging and footprint-recording.
+  // One epoch sync, then every rule (or only `only`), reconciled against
+  // the clock.
+  CheckReport Sweep(const CheckRuleInfo* only);
+  // Executes rule `idx`, recording its charge.
   CheckRuleReport ExecuteRule(size_t idx);
-  // True if rule `idx` may be skipped: it has run before, its footprint pages
-  // are all clean since that run, and its inputs (suspects) are unchanged.
-  bool CanSkip(size_t idx) const;
-  void FinishSweep(CheckReport* report, uint64_t clock_before,
-                   uint64_t clock_after) const;
 
   const dbg::TypeRegistry* types_;
   const dbg::SymbolTable* symbols_;
   dbg::ReadSession* session_;
-  std::vector<RuleState> states_;
   std::vector<uint64_t> suspects_;
-  uint64_t suspects_gen_ = 0;
 };
 
 }  // namespace analysis

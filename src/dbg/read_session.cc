@@ -162,7 +162,7 @@ void ReadSession::ApplyDirtyInfo(const DirtyPageInfo& info, uint64_t now) {
                      ? static_cast<double>(info.dirty_pages.size()) /
                            static_cast<double>(info.pages_total)
                      : 1.0;
-  if (ratio > config_.max_dirty_ratio) {
+  if (ratio > kMaxDirtyRatio) {
     // Too much moved: a block-wise refresh would walk most of the cache for
     // nothing. One flush is cheaper and just as correct.
     FullInvalidate();

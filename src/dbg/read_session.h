@@ -60,16 +60,13 @@ struct CacheConfig {
   // epoch change, query the target's dirty-page log and refresh only the
   // blocks overlapping dirty pages (re-read the ones read since their last
   // fetch in one vectored round trip, evict the rest). Falls back to a
-  // whole-cache flush when the domain has no dirty log or the dirty ratio
-  // exceeds max_dirty_ratio.
+  // whole-cache flush when the domain has no dirty log or more than half
+  // its pages are dirty (ReadSession::kMaxDirtyRatio).
   // Off by default, so the classic contract (full flush per epoch) stays
   // exact for existing sessions. NOTE: code that mutates target memory
   // out-of-band must bump the memory generation — a bare InvalidateAll() is
   // not enough once page-epoch consumers (viewcl memoization) are attached.
   bool delta_invalidation = false;
-  // Above this fraction of dirty pages, a block-wise refresh walks most of
-  // the cache for nothing; one flush is cheaper and just as correct.
-  double max_dirty_ratio = 0.5;
 
   static CacheConfig Disabled() { return CacheConfig{0, 0}; }
   // Block cache + dirty-log delta invalidation (incremental refresh).
@@ -231,6 +228,10 @@ class ReadSession {
     // only touched blocks and clears the mark.
     bool touched = false;
   };
+
+  // Above this fraction of dirty pages, a block-wise refresh walks most of
+  // the cache for nothing; one flush is cheaper and just as correct.
+  static constexpr double kMaxDirtyRatio = 0.5;
 
   // Granularity of page-epoch bookkeeping (RangeCleanSince, page scopes).
   // Dirty pages a domain reports at another page size are expanded/aligned

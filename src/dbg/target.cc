@@ -38,13 +38,6 @@ void Target::ResetStats() {
   // counters fed by RecordDirtyQuery.
   vl::MetricsRegistry::Instance().ResetPrefix("dbg.read");
   vl::MetricsRegistry::Instance().ResetPrefix("dirty.");
-  // check.* counters are fed by sweeps charged on this clock; a reset that
-  // zeroes the clock but kept stale sweep charges would break the stats-schema
-  // invariant that reset zeroes every counter family.
-  vl::MetricsRegistry::Instance().ResetPrefix("check.");
-  // Same invariant for the vectored-read batches, which account charges on
-  // this clock.
-  vl::MetricsRegistry::Instance().ResetPrefix("read.vector.");
 }
 
 size_t Target::ReadVector(std::vector<ReadSpan>& spans) {
@@ -70,17 +63,6 @@ size_t Target::ReadVector(std::vector<ReadSpan>& spans) {
   reads_.store(reads_.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
   bytes_read_.store(bytes_read_.load(std::memory_order_relaxed) + ok_bytes,
                     std::memory_order_relaxed);
-  // Batch accounting is a cold path (once per wavefront, not per read), so
-  // these counters are unconditional like the check.* family — `vctrl stats`
-  // reports them without tracing enabled.
-  vl::MetricsRegistry& metrics = vl::MetricsRegistry::Instance();
-  metrics.GetCounter("read.vector.batches")->Add();
-  metrics.GetCounter("read.vector.spans")->Add(ok_count);
-  metrics.GetCounter("read.vector.bytes")->Add(ok_bytes);
-  if (ok_count > 0) {
-    // Every span beyond the first would have been its own round trip.
-    metrics.GetCounter("read.vector.avoided_round_trips")->Add(ok_count - 1);
-  }
   if (trace_flag_->load(std::memory_order_relaxed)) {
     RecordVector(spans, ok_count, ok_bytes, cost);  // tracing slow path, out of line
   }

@@ -133,8 +133,8 @@ class Target {
   // span's `ok` stays false and its bytes are skipped) — a batch that mixes
   // readable and unreadable memory still delivers the readable spans.
   // Returns the number of spans read successfully. An empty batch charges
-  // nothing. Feeds the unconditional `read.vector.*` counters (batches,
-  // spans, bytes, avoided_round_trips); ResetStats clears them.
+  // nothing. Batch counts live with the issuer (CacheStats::vector_batches,
+  // WalkStats::batches), not in a process-wide counter.
   size_t ReadVector(std::vector<ReadSpan>& spans);
 
   // --- dirty-page log (incremental refresh) ---
@@ -163,12 +163,11 @@ class Target {
   const vl::VirtualClock& clock() const { return clock_; }
   uint64_t reads() const { return reads_.load(std::memory_order_relaxed); }
   uint64_t bytes_read() const { return bytes_read_.load(std::memory_order_relaxed); }
-  // Resets clock, totals, per-model attribution, AND the `dbg.read.*`
-  // tracing metrics recorded via RecordRead — plus the `read.vector.*` batch
-  // counters charged on this clock — so back-to-back bench phases can't leak
-  // counts into each other. Safe to call while readers snapshot stats
-  // concurrently (they see either pre- or post-reset values, never a torn
-  // map).
+  // Resets clock, totals, per-model attribution, AND the `dbg.read.*` /
+  // `dirty.*` tracing metrics recorded via RecordRead / RecordVector /
+  // RecordDirtyQuery, so back-to-back bench phases can't leak counts into
+  // each other. Safe to call while readers snapshot stats concurrently (they
+  // see either pre- or post-reset values, never a torn map).
   void ResetStats();
 
   // Charges attributed per latency-model name, snapshotted by value so a

@@ -7,9 +7,7 @@ namespace vserve {
 dbg::CacheConfig SessionOptions::ToCacheConfig() const {
   dbg::CacheConfig config;
   config.block_bytes = block_bytes;
-  config.capacity_blocks = capacity_blocks;
   config.delta_invalidation = incremental;
-  config.max_dirty_ratio = max_dirty_ratio;
   return config;
 }
 
@@ -19,16 +17,6 @@ vl::DiagnosticList SessionOptions::Validate() const {
     diags.AddRule("VS001", vl::Severity::kError, vl::Span{},
                   "incremental refresh requires a block cache (block_bytes > 0); "
                   "set incremental=false or block_bytes>=1");
-  }
-  if (block_bytes != 0 && capacity_blocks == 0) {
-    diags.AddRule("VS002", vl::Severity::kError, vl::Span{},
-                  "a block cache needs capacity_blocks > 0 "
-                  "(use block_bytes=0 to disable caching entirely)");
-  }
-  if (max_dirty_ratio < 0.0 || max_dirty_ratio > 1.0) {
-    diags.AddRule("VS003", vl::Severity::kError, vl::Span{},
-                  vl::StrFormat("max_dirty_ratio must be within [0, 1], got %g",
-                                max_dirty_ratio));
   }
   if (max_queued == 0) {
     diags.AddRule("VS004", vl::Severity::kError, vl::Span{},

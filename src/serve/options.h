@@ -23,15 +23,10 @@ struct SessionOptions {
   // Aligned fetch granularity of the shard's ReadSession; 0 disables block
   // caching entirely (every read is a raw transport round trip).
   size_t block_bytes = 256;
-  // LRU capacity in blocks.
-  size_t capacity_blocks = 4096;
-  // Dirty-log delta invalidation: on a kernel mutation epoch, evict only
+  // Dirty-log delta invalidation: on a kernel mutation epoch, refresh only
   // blocks overlapping dirty pages. This is the serving default —
   // multi-client dashboards live on incremental refresh.
   bool incremental = true;
-  // Above this fraction of dirty pages a full flush is cheaper than
-  // block-wise eviction.
-  double max_dirty_ratio = 0.5;
 
   // --- render ---
   // Digest-keyed render memo per pane.
@@ -70,16 +65,14 @@ struct SessionOptions {
   // normalized form (dbg::CacheConfig::Normalized).
   dbg::CacheConfig ToCacheConfig() const;
 
-  // Fail-fast diagnostics, stable rule IDs:
+  // Fail-fast diagnostics, stable rule IDs (VS002 and VS003 are unused):
   //   VS001 error   incremental refresh requires a block cache (block_bytes>0)
-  //   VS002 error   a block cache needs capacity_blocks > 0
-  //   VS003 error   max_dirty_ratio outside [0, 1]
   //   VS004 error   max_queued must be >= 1
   //   VS005 error   shard names may not contain '|' or whitespace
   //   VS006 warning block_bytes is rounded up to a power of two
   vl::DiagnosticList Validate() const;
   // "" when there are no errors; else one rendered diagnostic per line
-  // ("error[VS003]: ...").
+  // ("error[VS004]: ...").
   std::string ValidationText() const;
 };
 

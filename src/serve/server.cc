@@ -42,10 +42,8 @@ struct Shard {
   uint64_t clock0 = 0;
   uint64_t control_ns = 0;
 
-  // Persistent vcheck engine (guarded by mu; lazily created on the first
-  // Server::Sweep). Persistence is what makes incremental fleet sweeps work:
-  // each rule's footprint/epoch from the last sweep survives here.
-  std::unique_ptr<analysis::CheckEngine> checker;
+  // The sweeps Server::Sweep ran on this shard (guarded by mu).
+  analysis::CheckStats check;
 };
 
 }  // namespace internal
@@ -780,6 +778,7 @@ vl::Json Server::StatsToJson() const {
   j["queued"] = vl::Json::Int(static_cast<int64_t>(queue_.size()));
   vl::Json shards = vl::Json::Object();
   viewcl::WalkStats total_walk;
+  analysis::CheckStats total_check;
   for (const auto& shard : shards_) {
     vl::Json s = vl::Json::Object();
     s["sessions"] = vl::Json::Int(static_cast<int64_t>(shard->sessions));
@@ -801,6 +800,8 @@ vl::Json Server::StatsToJson() const {
       }
       s["walk"] = walk.ToJson();
       total_walk += walk;
+      s["check"] = shard->check.ToJson();
+      total_check += shard->check;
     }
     {
       std::lock_guard<std::mutex> cache_lock(shard->cache_mu);
@@ -826,6 +827,7 @@ vl::Json Server::StatsToJson() const {
   }
   j["per_session"] = std::move(sessions);
   j["walk"] = total_walk.ToJson();
+  j["check"] = total_check.ToJson();
   return j;
 }
 
@@ -840,16 +842,7 @@ void Server::PublishMetrics() const {
       ->Set(static_cast<int64_t>(flights_.dropped()));
   metrics.GetGauge("serve.flights.slo_violations")
       ->Set(static_cast<int64_t>(flights_.slo_violations()));
-  metrics.GetGauge("check.fleet.sweeps")
-      ->Set(static_cast<int64_t>(check_sweeps_.load(std::memory_order_relaxed)));
-  metrics.GetGauge("check.fleet.violations")
-      ->Set(static_cast<int64_t>(check_violations_.load(std::memory_order_relaxed)));
-  metrics.GetGauge("check.fleet.rules_run")
-      ->Set(static_cast<int64_t>(check_rules_run_.load(std::memory_order_relaxed)));
-  metrics.GetGauge("check.fleet.rules_skipped")
-      ->Set(static_cast<int64_t>(check_rules_skipped_.load(std::memory_order_relaxed)));
-  metrics.GetGauge("check.fleet.charged_ns")
-      ->Set(static_cast<int64_t>(check_charged_ns_.load(std::memory_order_relaxed)));
+  analysis::CheckStats check;
   for (const auto& shard : shards_) {
     const std::string prefix = "serve.shard." + shard->name;
     metrics.GetGauge(prefix + ".sessions")->Set(static_cast<int64_t>(shard->sessions));
@@ -871,6 +864,7 @@ void Server::PublishMetrics() const {
       std::lock_guard<std::mutex> shard_lock(shard->mu);
       metrics.GetGauge(prefix + ".extractions")
           ->Set(static_cast<int64_t>(shard->extractions));
+      check += shard->check;
     }
     {
       std::lock_guard<std::mutex> cache_lock(shard->cache_mu);
@@ -882,6 +876,10 @@ void Server::PublishMetrics() const {
         ->Set(static_cast<int64_t>(stats.service_ns.ApproxQuantile(0.99)));
     metrics.GetGauge(prefix + ".p99_queue_ns")
         ->Set(static_cast<int64_t>(stats.queue_ns.ApproxQuantile(0.99)));
+  }
+  const vl::Json check_totals = check.ToJson();
+  for (const auto& [name, value] : check_totals.entries()) {
+    metrics.GetGauge("check.fleet." + name)->Set(value.AsInt());
   }
   for (const Session* session : sessions_) {
     const std::string prefix = vl::StrFormat("serve.session.%d", session->id());
@@ -1163,11 +1161,7 @@ size_t Server::SweepResult::rules_run() const {
   return n;
 }
 
-size_t Server::SweepResult::rules_skipped() const {
-  size_t n = 0;
-  for (const ShardSweep& s : shards) n += s.report.rules_skipped();
-  return n;
-}
+size_t Server::SweepResult::rules_skipped() const { return 0; }
 
 bool Server::SweepResult::reconciled() const {
   for (const ShardSweep& s : shards) {
@@ -1180,7 +1174,6 @@ vl::Json Server::SweepResult::ToJson() const {
   vl::Json j = vl::Json::Object();
   j["violations"] = vl::Json::Int(static_cast<int64_t>(violations()));
   j["rules_run"] = vl::Json::Int(static_cast<int64_t>(rules_run()));
-  j["rules_skipped"] = vl::Json::Int(static_cast<int64_t>(rules_skipped()));
   j["reconciled"] = vl::Json::Bool(reconciled());
   vl::Json arr = vl::Json::Array();
   for (const ShardSweep& s : shards) arr.Append(s.ToJson());
@@ -1201,13 +1194,13 @@ std::string Server::SweepResult::RenderText() const {
       pos = nl + 1;
     }
   }
-  out += vl::StrFormat("sweep: %zu shard(s), %zu rule(s) run, %zu skipped, %zu violation(s)%s\n",
-                       shards.size(), rules_run(), rules_skipped(), violations(),
+  out += vl::StrFormat("sweep: %zu shard(s), %zu rule(s) run, %zu violation(s)%s\n",
+                       shards.size(), rules_run(), violations(),
                        reconciled() ? "" : " [NOT RECONCILED]");
   return out;
 }
 
-vl::StatusOr<Server::SweepResult> Server::Sweep(std::string_view rule, bool incremental) {
+vl::StatusOr<Server::SweepResult> Server::Sweep(std::string_view rule, bool /*incremental*/) {
   const bool all = rule.empty() || rule == "all";
   if (!all && analysis::CheckEngine::FindRule(rule) == nullptr) {
     return vl::InvalidArgumentError(
@@ -1225,18 +1218,15 @@ vl::StatusOr<Server::SweepResult> Server::Sweep(std::string_view rule, bool incr
   for (internal::Shard* shard : fleet) {
     std::lock_guard<std::mutex> shard_lock(shard->mu);
     dbg::KernelDebugger* debugger = shard->debugger;
-    if (shard->checker == nullptr) {
-      shard->checker = std::make_unique<analysis::CheckEngine>(
-          &debugger->types(), &debugger->symbols(), &debugger->session());
-    }
+    analysis::CheckEngine checker(&debugger->types(), &debugger->symbols(),
+                                  &debugger->session());
     ShardSweep sweep;
     sweep.shard = shard->name;
     const uint64_t before = debugger->target().clock().nanos();
     if (all) {
-      sweep.report = incremental ? shard->checker->RunIncremental()
-                                 : shard->checker->RunAll();
+      sweep.report = checker.RunAll();
     } else {
-      vl::StatusOr<analysis::CheckReport> one = shard->checker->RunOne(rule);
+      vl::StatusOr<analysis::CheckReport> one = checker.RunOne(rule);
       if (!one.ok()) {
         return one.status();
       }
@@ -1246,26 +1236,15 @@ vl::StatusOr<Server::SweepResult> Server::Sweep(std::string_view rule, bool incr
     // Sweeps are control-plane work on the shard clock: attribute the charge
     // so flight reconciliation (charged == control + sum(service)) holds.
     shard->control_ns += sweep.charged_ns;
+    shard->check.Add(sweep.report);
     result.shards.push_back(std::move(sweep));
   }
-  check_sweeps_.fetch_add(1, std::memory_order_relaxed);
-  check_violations_.store(result.violations(), std::memory_order_relaxed);
-  check_rules_run_.store(result.rules_run(), std::memory_order_relaxed);
-  check_rules_skipped_.store(result.rules_skipped(), std::memory_order_relaxed);
-  uint64_t charged = 0;
-  for (const ShardSweep& s : result.shards) charged += s.charged_ns;
-  check_charged_ns_.fetch_add(charged, std::memory_order_relaxed);
   return result;
 }
 
 void Server::ResetStats() {
   Drain();
   std::lock_guard<std::mutex> lock(mu_);
-  // Target::ResetStats (below) clears check.* and read.vector.* per shard,
-  // but a shardless server must still honor the reset-zeroes-every-family
-  // invariant.
-  vl::MetricsRegistry::Instance().ResetPrefix("check.");
-  vl::MetricsRegistry::Instance().ResetPrefix("read.vector.");
   for (const auto& shard : shards_) {
     // Target::ResetStats zeroes the virtual clock itself, so the charged-ns
     // baseline re-reads it afterwards and reconciliation restarts from zero.
@@ -1274,6 +1253,7 @@ void Server::ResetStats() {
       std::lock_guard<std::mutex> shard_lock(shard->mu);
       shard->extractions = 0;
       shard->control_ns = 0;
+      shard->check = analysis::CheckStats{};
       shard->clock0 = shard->debugger->target().clock().nanos();
       for (auto& [program, engine] : shard->engines) {
         engine->ResetWalkStats();
@@ -1300,11 +1280,6 @@ void Server::ResetStats() {
     session->rejected_.store(0, std::memory_order_relaxed);
   }
   flights_.Clear();
-  check_sweeps_.store(0, std::memory_order_relaxed);
-  check_violations_.store(0, std::memory_order_relaxed);
-  check_rules_run_.store(0, std::memory_order_relaxed);
-  check_rules_skipped_.store(0, std::memory_order_relaxed);
-  check_charged_ns_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace vserve

@@ -258,9 +258,10 @@ class Server {
   // Aggregate + per-shard + per-session stats (the `vctrl stats` "serve"
   // section and the Prometheus export's source of truth).
   vl::Json StatsToJson() const;
-  // Publishes serve.shard.* / serve.session.* / serve.flights.* gauges to the
-  // global MetricsRegistry (not thread-safe — call from the control plane,
-  // drained). `vctrl export prom` calls this itself (publish-on-export).
+  // Publishes serve.shard.* / serve.session.* / serve.flights.* and the
+  // check.fleet.* sweep totals as gauges to the global MetricsRegistry (not
+  // thread-safe — call from the control plane, drained). `vctrl export prom`
+  // calls this itself (publish-on-export).
   void PublishMetrics() const;
 
   // --- vcheck fleet sweep (control-plane) ---
@@ -279,6 +280,7 @@ class Server {
 
     size_t violations() const;
     size_t rules_run() const;
+    // Always 0: every sweep runs its rules. Kept for vbench, which reads it.
     size_t rules_skipped() const;
     // Every shard's report reconciled with its Target::clock().
     bool reconciled() const;
@@ -286,9 +288,10 @@ class Server {
     std::string RenderText() const;
   };
   // Runs the vcheck suite across every shard. `rule` selects one rule by ID
-  // or name ("" or "all" = the full catalog); `incremental` re-runs only
-  // rules whose recorded footprint is dirty (per-shard engines persist across
-  // sweeps, so footprints carry over). Control-plane: call drained.
+  // or name ("" or "all" = the full catalog). `incremental` selects nothing
+  // (kept for vbench, which passes it): after a kernel step the shard's
+  // delta refresh already re-reads only the stale blocks a sweep reads.
+  // Each shard's CheckStats count the sweep. Control-plane: call drained.
   vl::StatusOr<SweepResult> Sweep(std::string_view rule = {}, bool incremental = false);
 
   // The per-request flight recorder (see flight.h).
@@ -307,9 +310,9 @@ class Server {
 
   // Coherently zeroes serve accounting: drains, then resets per-shard
   // transport stats (Target::ResetStats), extraction/dedup counters, result
-  // cache stats, control-plane charges, session counters, and the flight
-  // recorder — so post-reset ratios and reconciliation start from a clean
-  // epoch. Configured SLO ceilings and cache *contents* persist.
+  // cache stats, control-plane charges, sweep stats, session counters, and
+  // the flight recorder — so post-reset ratios and reconciliation start from
+  // a clean epoch. Configured SLO ceilings and cache *contents* persist.
   void ResetStats();
 
  private:
@@ -381,14 +384,6 @@ class Server {
   std::atomic<uint64_t> sequence_{0};
   std::vector<std::thread> workers_;
   FlightRecorder flights_;
-
-  // Fleet-sweep summary for the check.fleet.* gauges (vl_check_fleet_* in the
-  // Prometheus export). Single-writer (Sweep is control-plane), any reader.
-  std::atomic<uint64_t> check_sweeps_{0};
-  std::atomic<uint64_t> check_violations_{0};     // last sweep
-  std::atomic<uint64_t> check_rules_run_{0};      // last sweep
-  std::atomic<uint64_t> check_rules_skipped_{0};  // last sweep
-  std::atomic<uint64_t> check_charged_ns_{0};     // cumulative sweep charge
 };
 
 }  // namespace vserve

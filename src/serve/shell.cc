@@ -212,7 +212,6 @@ std::string DebuggerShell::CmdVctrl(const std::string& args) {
 
 std::string DebuggerShell::CmdCheck(const std::string& args) {
   std::string rule;
-  bool incremental = false;
   bool json = false;
   std::string remaining = args;
   while (true) {
@@ -222,8 +221,6 @@ std::string DebuggerShell::CmdCheck(const std::string& args) {
     }
     if (token == "json") {
       json = true;
-    } else if (token == "incremental" || token == "inc") {
-      incremental = true;
     } else if (token == "list") {
       std::string out;
       for (const analysis::CheckRuleInfo& info : analysis::CheckEngine::Catalog()) {
@@ -233,11 +230,11 @@ std::string DebuggerShell::CmdCheck(const std::string& args) {
     } else if (rule.empty()) {
       rule = token;
     } else {
-      return "usage: vctrl check [rule|all|list] [incremental] [json]\n";
+      return "usage: vctrl check [rule|all|list] [json]\n";
     }
     remaining = rest;
   }
-  auto sweep = session_->server()->Sweep(rule, incremental);
+  auto sweep = session_->server()->Sweep(rule);
   if (!sweep.ok()) {
     return "error: " + sweep.status().ToString() + "\n";
   }
@@ -270,22 +267,10 @@ vl::Json DebuggerShell::StatsJson() const {
   j["serve"] = session_->StatsToJson();
   // The server-wide view: per-shard extraction/dedup counters, control_ns,
   // and the per-shard queue/service/total flight decomposition.
-  j["fleet"] = session_->server()->StatsToJson();
-  // vcheck sweep accounting, fed by the check.* counter family.
-  vl::MetricsRegistry& metrics = vl::MetricsRegistry::Instance();
-  vl::Json check = vl::Json::Object();
-  check["sweeps"] = vl::Json::Int(metrics.GetCounter("check.sweeps")->value());
-  check["rules_run"] = vl::Json::Int(metrics.GetCounter("check.rules.run")->value());
-  check["violations"] = vl::Json::Int(metrics.GetCounter("check.violations")->value());
-  check["reads"] = vl::Json::Int(metrics.GetCounter("check.reads")->value());
-  check["read_bytes"] = vl::Json::Int(metrics.GetCounter("check.read_bytes")->value());
-  check["charged_ns"] = vl::Json::Int(metrics.GetCounter("check.charged_ns")->value());
-  vl::Json inc = vl::Json::Object();
-  inc["sweeps"] = vl::Json::Int(metrics.GetCounter("check.incremental.sweeps")->value());
-  inc["skipped"] = vl::Json::Int(metrics.GetCounter("check.incremental.skipped")->value());
-  inc["reran"] = vl::Json::Int(metrics.GetCounter("check.incremental.reran")->value());
-  check["incremental"] = std::move(inc);
-  j["check"] = std::move(check);
+  vl::Json fleet = session_->server()->StatsToJson();
+  // vcheck sweep accounting: the shards' sweep stats, summed.
+  j["check"] = fleet["check"];
+  j["fleet"] = std::move(fleet);
   return j;
 }
 
@@ -375,19 +360,19 @@ std::string DebuggerShell::CmdStats(const std::string& args) {
         flights.service_ns.ApproxQuantile(0.50),
         flights.service_ns.ApproxQuantile(0.99));
   }
-  vl::MetricsRegistry& registry = vl::MetricsRegistry::Instance();
-  if (registry.GetCounter("check.sweeps")->value() > 0) {
+  vl::Json fleet = session_->server()->StatsToJson();
+  vl::Json& check = fleet["check"];
+  if (check["sweeps"].AsInt() > 0) {
     out += vl::StrFormat(
         "check: %lld sweep(s), %lld rule(s) run, %lld violation(s), "
-        "%lld reads (%lld ns charged), %lld incremental skip(s)\n",
-        static_cast<long long>(registry.GetCounter("check.sweeps")->value()),
-        static_cast<long long>(registry.GetCounter("check.rules.run")->value()),
-        static_cast<long long>(registry.GetCounter("check.violations")->value()),
-        static_cast<long long>(registry.GetCounter("check.reads")->value()),
-        static_cast<long long>(registry.GetCounter("check.charged_ns")->value()),
-        static_cast<long long>(registry.GetCounter("check.incremental.skipped")->value()));
+        "%lld reads (%lld ns charged)\n",
+        static_cast<long long>(check["sweeps"].AsInt()),
+        static_cast<long long>(check["rules_run"].AsInt()),
+        static_cast<long long>(check["violations"].AsInt()),
+        static_cast<long long>(check["reads"].AsInt()),
+        static_cast<long long>(check["charged_ns"].AsInt()));
   }
-  vl::Json walk = session_->server()->StatsToJson()["walk"];
+  vl::Json& walk = fleet["walk"];
   if (walk["runs"].AsInt() > 0) {
     out += "walk:";
     for (const auto& [name, value] : walk.entries()) {
@@ -395,7 +380,7 @@ std::string DebuggerShell::CmdStats(const std::string& args) {
     }
     out += "\n";
   }
-  std::string metrics = registry.TextReport();
+  std::string metrics = vl::MetricsRegistry::Instance().TextReport();
   if (!metrics.empty()) {
     out += metrics;
   }

@@ -33,9 +33,8 @@ class DebuggerShell {
   //   vctrl split <pane> h|v                split a pane
   //   vctrl apply <pane> <viewql...>        refine a pane with ViewQL
   //   vctrl lint <file|pane> [json]         static-check ViewCL/ViewQL (vlint)
-  //   vctrl check [rule|all] [incremental] [json]  vcheck invariant sweep
-  //     across every shard (rule = a VC id or name; incremental re-runs only
-  //     rules whose page footprint is dirty)
+  //   vctrl check [rule|all|list] [json]    vcheck invariant sweep across
+  //     every shard (rule = a VC id or name)
   //   vctrl focus addr <hex>                search all panes for an object
   //   vctrl focus <member> <value>          search by member value (e.g. pid 2)
   //   vctrl view <pane> [ascii|dot|json]    render a pane with a back-end

@@ -7,7 +7,9 @@
 // never from wall-clock time — so two identical runs report identical metrics.
 //
 // Updates are gated by the tracer's enabled flag at the instrumentation sites,
-// not here; the registry itself is always usable.
+// not here; the registry itself is always usable. With tracing off nothing
+// records into it except Server::PublishMetrics, which sets gauges on export;
+// counts that must hold without tracing live on the objects that produce them.
 
 #ifndef SRC_SUPPORT_METRICS_H_
 #define SRC_SUPPORT_METRICS_H_

@@ -1,9 +1,9 @@
 // vcheck invariant-engine tests: one targeted corruption per catalog rule
 // (mutate kernel state host-side, assert exactly that rule fires with the
 // right address), clean-corpus zero findings across the 21-figure corpus,
-// charge reconciliation against Target::clock(), incremental footprint
-// skip/retrigger, suspect-set retriggering, and the Server::Sweep /
-// `vctrl check` fleet paths.
+// charge reconciliation against Target::clock(), sweeps of one engine across
+// kernel steps on a delta-refresh session, and the Server::Sweep /
+// `vctrl check` fleet paths with their per-shard sweep stats.
 //
 // The arena is identity-mapped (a host pointer IS the target address), so
 // every expected violation address is computed directly from the vkern
@@ -22,7 +22,6 @@
 #include "src/dbg/read_session.h"
 #include "src/serve/server.h"
 #include "src/serve/shell.h"
-#include "src/support/metrics.h"
 #include "src/viewcl/interp.h"
 #include "src/vision/figures.h"
 #include "src/vkern/faults.h"
@@ -105,8 +104,9 @@ class CheckTest : public vltest::WorkloadKernelTest {
   std::unique_ptr<CheckEngine> engine_;
 };
 
-// Same fixture over a delta-invalidation session: RangeCleanSince has real
-// dirty-page history, so RunIncremental can actually skip clean rules.
+// Same fixture over a delta-refresh session: one engine sweeps across kernel
+// steps, as a served shard's sweeps do, and each sweep after a step reads the
+// blocks the refresh re-read.
 class IncrementalCheckTest : public CheckTest {
  protected:
   dbg::CacheConfig cache() const override { return dbg::CacheConfig::Incremental(); }
@@ -388,110 +388,49 @@ TEST_F(CheckTest, Vc011PwqBackrefCorruptionFires) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental re-checking
+// Sweeps across kernel steps
 // ---------------------------------------------------------------------------
 
-TEST_F(IncrementalCheckTest, SecondSweepSkipsEveryCleanRule) {
-  CheckReport full = engine_->RunAll();
-  ASSERT_EQ(full.violations(), 0u) << full.RenderText();
-  CheckReport inc = engine_->RunIncremental();
-  EXPECT_TRUE(inc.incremental);
-  EXPECT_EQ(inc.rules_skipped(), CheckEngine::Catalog().size());
-  EXPECT_EQ(inc.rules_run(), 0u);
-  EXPECT_EQ(inc.charged_ns, 0u);
-  EXPECT_EQ(inc.violations(), 0u);
-  EXPECT_TRUE(inc.reconciled);
-  for (const CheckRuleReport& r : inc.rules) {
-    EXPECT_FALSE(r.ran) << r.id;
-    EXPECT_TRUE(r.skipped_clean) << r.id;
-  }
-}
-
-TEST_F(IncrementalCheckTest, DirtyFootprintRetriggersOnlyAffectedRules) {
-  CheckReport full = engine_->RunAll();
-  ASSERT_EQ(full.violations(), 0u) << full.RenderText();
-  // Dirty exactly one page: the rcu_data slot VC008's footprint covers.
+TEST_F(IncrementalCheckTest, RepairedCorruptionClearsOnTheNextSweep) {
+  CheckReport clean = engine_->RunAll();
+  ASSERT_EQ(clean.violations(), 0u) << clean.RenderText();
   vkern::rcu_data* rdp = &kernel_->rcu_data_array()[0];
   rdp->cblist_len += 3;
   kernel_->BumpGeneration();
-  CheckReport inc = engine_->RunIncremental();
-  const CheckRuleReport* vc008 = FindRuleReport(inc, "VC008");
-  ASSERT_NE(vc008, nullptr);
-  EXPECT_TRUE(vc008->ran);
-  EXPECT_TRUE(FiredAt(inc, "VC008", reinterpret_cast<uint64_t>(&rdp->cblist_len)))
-      << inc.RenderText();
-  EXPECT_TRUE(inc.reconciled);
-  // Rules whose footprint avoids the dirtied page replay their clean result.
-  // The journal reports the whole arena-relative page as dirty, and that page
-  // spans up to two absolute 4 KiB granules — compute the set from the arena
-  // base rather than assuming which neighbouring globals share the page.
-  uint64_t addr = reinterpret_cast<uint64_t>(&rdp->cblist_len);
-  uint64_t base = kernel_->arena().base_addr();
-  uint64_t page = base + ((addr - base) / 4096) * 4096;
-  uint64_t g0 = page & ~4095ull;
-  size_t verified_skips = 0;
-  for (const CheckRuleReport& prev : full.rules) {
-    bool touches = false;
-    for (uint64_t pg : prev.footprint) {
-      if (pg == g0 || pg == g0 + 4096) {
-        touches = true;
-        break;
-      }
-    }
-    if (touches) continue;
-    const CheckRuleReport* now = FindRuleReport(inc, prev.id);
-    ASSERT_NE(now, nullptr);
-    EXPECT_TRUE(now->skipped_clean) << prev.id << " touched no dirty page:\n"
-                                    << inc.RenderText();
-    ++verified_skips;
-  }
-  EXPECT_GE(inc.rules_skipped(), verified_skips);
-  // Repair + re-sweep: the page is dirty again, so VC008 re-runs and clears.
+  CheckReport corrupt = engine_->RunAll();
+  EXPECT_TRUE(corrupt.reconciled);
+  EXPECT_TRUE(FiredAt(corrupt, "VC008", reinterpret_cast<uint64_t>(&rdp->cblist_len)))
+      << corrupt.RenderText();
+  EXPECT_EQ(FiredRules(corrupt), std::vector<std::string>{"VC008"});
+  // Repair + re-sweep: the refresh re-reads the page, and the finding clears.
   rdp->cblist_len -= 3;
   kernel_->BumpGeneration();
-  CheckReport fixed = engine_->RunIncremental();
-  const CheckRuleReport* again = FindRuleReport(fixed, "VC008");
-  ASSERT_NE(again, nullptr);
-  EXPECT_TRUE(again->ran);
+  CheckReport fixed = engine_->RunAll();
+  EXPECT_TRUE(fixed.reconciled);
   EXPECT_EQ(fixed.violations(), 0u) << fixed.RenderText();
 }
 
-TEST_F(IncrementalCheckTest, SuspectChangeRetriggersSlabAudit) {
+TEST_F(IncrementalCheckTest, SuspectBecomesUseAfterFreeOnceFreed) {
   vkern::kmem_cache* cache = kernel_->slabs().FindCache("maple_node");
   ASSERT_NE(cache, nullptr);
   void* obj = kernel_->slabs().Alloc(cache);
   ASSERT_NE(obj, nullptr);
   kernel_->BumpGeneration();
-  CheckReport full = engine_->RunAll();
-  ASSERT_EQ(full.violations(), 0u) << full.RenderText();
-  // No memory changed, but the suspect set did: VC006 must re-run.
+  CheckReport clean = engine_->RunAll();
+  ASSERT_EQ(clean.violations(), 0u) << clean.RenderText();
   engine_->AddSuspect(reinterpret_cast<uint64_t>(obj));
-  CheckReport inc = engine_->RunIncremental();
-  const CheckRuleReport* vc006 = FindRuleReport(inc, "VC006");
-  ASSERT_NE(vc006, nullptr);
-  EXPECT_TRUE(vc006->ran);
-  EXPECT_EQ(inc.violations(), 0u) << inc.RenderText();  // object is live
+  CheckReport live = engine_->RunAll();
+  EXPECT_EQ(live.violations(), 0u) << live.RenderText();  // object is live
   // Now the object dies; the suspect pointer becomes a use-after-free.
   vkern::SlabAllocator::Free(cache, obj);
   kernel_->BumpGeneration();
-  CheckReport uaf = engine_->RunIncremental();
+  CheckReport uaf = engine_->RunAll();
   EXPECT_TRUE(FiredAt(uaf, "VC006", reinterpret_cast<uint64_t>(obj))) << uaf.RenderText();
 }
 
 // ---------------------------------------------------------------------------
-// Telemetry + fleet sweep
+// Fleet sweep + sweep stats
 // ---------------------------------------------------------------------------
-
-TEST_F(CheckTest, ResetStatsClearsCheckCounters) {
-  engine_->RunAll();
-  vl::MetricsRegistry& registry = vl::MetricsRegistry::Instance();
-  EXPECT_GT(registry.GetCounter("check.sweeps")->value(), 0u);
-  EXPECT_GT(registry.GetCounter("check.rules.run")->value(), 0u);
-  debugger_->target().ResetStats();
-  EXPECT_EQ(registry.GetCounter("check.sweeps")->value(), 0u);
-  EXPECT_EQ(registry.GetCounter("check.rules.run")->value(), 0u);
-  EXPECT_EQ(registry.GetCounter("check.violations")->value(), 0u);
-}
 
 TEST(CheckServeTest, ServerSweepCoversEveryShard) {
   vserve::Server server;
@@ -525,8 +464,43 @@ TEST(CheckServeTest, ServerSweepCoversEveryShard) {
     }
   }
 
+  // Three fleet sweeps (the unknown rule sweeps nothing), each counted on
+  // every shard; the fleet stats sum the shards.
+  vl::Json stats = server.StatsToJson();
+  EXPECT_EQ(stats["shards"]["s0"]["check"]["sweeps"].AsInt(), 3);
+  EXPECT_EQ(stats["shards"]["s0"]["check"]["violations"].AsInt(), 1);
+  EXPECT_EQ(stats["shards"]["s1"]["check"]["violations"].AsInt(), 0);
+  EXPECT_EQ(stats["check"]["sweeps"].AsInt(), 6);
+  EXPECT_EQ(stats["check"]["rules_run"].AsInt(),
+            static_cast<int64_t>(2 * CheckEngine::Catalog().size() + 4));
   server.ResetStats();
-  EXPECT_EQ(vl::MetricsRegistry::Instance().GetCounter("check.sweeps")->value(), 0u);
+  EXPECT_EQ(server.StatsToJson()["check"]["sweeps"].AsInt(), 0);
+}
+
+// Sweep stats belong to the shard: a shard's Target::ResetStats (transport
+// accounting) leaves them, Server::ResetStats zeroes them per shard and
+// fleet-wide.
+TEST(CheckServeTest, ResetStatsClearsShardSweepStats) {
+  vserve::Server server;
+  ASSERT_TRUE(server.BootShard("s0", dbg::LatencyModel::GdbQemu()).ok());
+  ASSERT_TRUE(server.Sweep().ok());
+  vl::Json check = server.StatsToJson()["shards"]["s0"]["check"];
+  EXPECT_EQ(check["sweeps"].AsInt(), 1);
+  EXPECT_EQ(check["rules_run"].AsInt(), static_cast<int64_t>(CheckEngine::Catalog().size()));
+  EXPECT_GT(check["reads"].AsInt(), 0);
+  EXPECT_GT(check["read_bytes"].AsInt(), 0);
+  EXPECT_GT(check["charged_ns"].AsInt(), 0);
+
+  server.shard_debugger("s0")->target().ResetStats();
+  EXPECT_EQ(server.StatsToJson()["check"]["sweeps"].AsInt(), 1);
+
+  server.ResetStats();
+  vl::Json reset = server.StatsToJson();
+  ASSERT_EQ(reset["check"].size(), 6u);
+  for (const auto& [key, value] : reset["check"].entries()) {
+    EXPECT_EQ(value.AsInt(), 0) << key;
+    EXPECT_EQ(reset["shards"]["s0"]["check"][key].AsInt(), 0) << key;
+  }
 }
 
 TEST(CheckShellTest, VctrlCheckAndStatsSurfaceSweeps) {
@@ -549,6 +523,7 @@ TEST(CheckShellTest, VctrlCheckAndStatsSurfaceSweeps) {
   EXPECT_NE(json.find("\"rules_run\""), std::string::npos) << json;
 
   EXPECT_NE(shell.Execute("vctrl check bogus-rule").find("error"), std::string::npos);
+  EXPECT_EQ(shell.Execute("vctrl check all incremental").rfind("usage: vctrl check", 0), 0u);
 
   std::string stats = shell.Execute("vctrl stats");
   EXPECT_NE(stats.find("check:"), std::string::npos) << stats;
@@ -556,10 +531,9 @@ TEST(CheckShellTest, VctrlCheckAndStatsSurfaceSweeps) {
   EXPECT_NE(prom.find("vl_check_fleet_sweeps"), std::string::npos) << prom;
 }
 
-// vprof profiles from span stats alone: it leaves the process-wide counter
-// families (check.*, read.vector.*, dirty.*) that `vctrl stats` reports alone.
+// vprof profiles from span stats alone: the sweep stats `vctrl stats`
+// reports survive it.
 TEST(CheckShellTest, VprofKeepsCheckCounters) {
-  vl::MetricsRegistry::Instance().Reset();
   vserve::Server server;
   ASSERT_TRUE(server.BootShard("main").ok());
   auto client = server.Connect();
@@ -572,6 +546,23 @@ TEST(CheckShellTest, VprofKeepsCheckCounters) {
   ASSERT_NE(prof.find("vprof pane 1"), std::string::npos) << prof;
   std::string stats = shell.Execute("vctrl stats");
   EXPECT_NE(stats.find("check: 1 sweep(s)"), std::string::npos) << stats;
+}
+
+// Sweep stats are not tracing data: `vctrl trace clear` empties the metrics
+// registry, yet `vctrl stats` and the fleet gauges still count the sweep.
+TEST(CheckShellTest, TraceClearKeepsSweepStats) {
+  vserve::Server server;
+  ASSERT_TRUE(server.BootShard("main").ok());
+  auto client = server.Connect();
+  ASSERT_TRUE(client.ok());
+  vserve::DebuggerShell shell(client->session());
+
+  ASSERT_NE(shell.Execute("vctrl check all").find("sweep: 1 shard(s)"), std::string::npos);
+  ASSERT_EQ(shell.Execute("vctrl trace clear"), "trace cleared\n");
+  std::string stats = shell.Execute("vctrl stats");
+  EXPECT_NE(stats.find("check: 1 sweep(s)"), std::string::npos) << stats;
+  std::string prom = shell.Execute("vctrl export prom");
+  EXPECT_NE(prom.find("vl_check_fleet_sweeps 1"), std::string::npos) << prom;
 }
 
 }  // namespace

@@ -446,7 +446,7 @@ TEST(DeltaInvalidationTest, AllPagesDirtyFallsBackToFullFlush) {
   }
   memory.MutateAllPages();
 
-  // Dirty ratio 1.0 > max_dirty_ratio: one flush, not 16 pages of block
+  // Dirty ratio 1.0 > the 0.5 threshold: one flush, not 16 pages of block
   // walking — and the legacy `invalidations` counter keeps its meaning.
   ASSERT_TRUE(session.ReadUnsigned(0, 1).ok());
   EXPECT_EQ(session.cache_stats().invalidations, 1u);
@@ -911,13 +911,13 @@ TEST_F(RenderDigestTest, DifferentBackendsAndOptionsCacheSeparately) {
   EXPECT_EQ(panes.render_digest_hits(), 2u);
 }
 
-// --- the refresh under an incremental sweep ---------------------------------
+// --- the refresh under a sweep ---------------------------------------------
 
 class DeltaRefreshSweepTest : public vltest::WorkloadKernelTest {};
 
 // After a warm sweep, one CPU tick dirties blocks the sweep reads. The
-// refresh re-reads them in one batch, so the incremental sweep that follows
-// drops none of them and fetches singly only blocks no sweep had cached.
+// refresh re-reads them in one batch, so the sweep that follows drops none
+// of them and fetches singly only blocks no sweep had cached.
 TEST_F(DeltaRefreshSweepTest, IncrementalSweepAfterTickRefetchesNoBlockTheLastSweepRead) {
   KernelDebugger debugger(kernel_.get(), LatencyModel::GdbQemu(),
                           vserve::SessionOptions{}.ToCacheConfig());
@@ -931,7 +931,7 @@ TEST_F(DeltaRefreshSweepTest, IncrementalSweepAfterTickRefetchesNoBlockTheLastSw
   const size_t cached = session.cached_blocks();
 
   kernel_->TickCpu(0);
-  auto sweep = server.Sweep("", /*incremental=*/true);
+  auto sweep = server.Sweep("");
   ASSERT_TRUE(sweep.ok());
   ASSERT_TRUE(sweep->reconciled());
   EXPECT_GT(sweep->rules_run(), 0u);
@@ -1010,9 +1010,8 @@ std::vector<std::string> Verdicts(const analysis::CheckReport& report) {
 }
 
 // A served 6-pane dashboard, every reuse layer on, is refreshed and swept
-// incrementally after each random step; every pane must render exactly as
-// the raw reference does, and the incremental sweep must reach RunAll's
-// verdicts. Besides KernelMutator's steps, the test renames tasks (the
+// after each random step; every pane must render exactly as the raw
+// reference does, and the served sweep must reach the reference's verdicts. Besides KernelMutator's steps, the test renames tasks (the
 // bytes a pane shows) and corrupts then repairs an RCU callback count (a
 // verdict VC008 must follow), each with a generation bump.
 TEST(IncrementalFuzzTest, ServedDashboardMatchesRawReference) {
@@ -1083,7 +1082,7 @@ TEST(IncrementalFuzzTest, ServedDashboardMatchesRawReference) {
             << served->render << "\n--- reference ---\n"
             << *want;
       }
-      auto sweep = server.Sweep("", /*incremental=*/true);
+      auto sweep = server.Sweep("");
       ASSERT_TRUE(sweep.ok());
       ASSERT_TRUE(sweep->reconciled());
       ASSERT_EQ(Verdicts(sweep->shards.front().report), Verdicts(reference.Sweep()));

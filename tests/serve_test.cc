@@ -1,9 +1,9 @@
 // vserve serving-layer tests: SessionOptions validation and lowering, request
 // dedup (one extraction serves every overlapping client), per-session view
 // isolation, byte-identical renders vs a raw reference session, admission
-// control, shard routing, cache-config sharing, the async scheduler, the
-// shell on a session, and the Target stats snapshot race fixed alongside
-// this layer.
+// control, shard routing, cache-config sharing, the async scheduler (two
+// shards refreshing at once on the worker pool), the shell on a session, and
+// the Target stats snapshot race fixed alongside this layer.
 
 #include <gtest/gtest.h>
 
@@ -45,14 +45,6 @@ TEST(SessionOptionsTest, FailFastDiagnosticsCarryRuleIds) {
   EXPECT_NE(options.ValidationText().find("VS001"), std::string::npos);
 
   options = SessionOptions{};
-  options.capacity_blocks = 0;  // VS002
-  EXPECT_NE(options.ValidationText().find("VS002"), std::string::npos);
-
-  options = SessionOptions{};
-  options.max_dirty_ratio = 1.5;  // VS003
-  EXPECT_NE(options.ValidationText().find("VS003"), std::string::npos);
-
-  options = SessionOptions{};
   options.max_queued = 0;  // VS004
   EXPECT_NE(options.ValidationText().find("VS004"), std::string::npos);
 
@@ -69,14 +61,11 @@ TEST(SessionOptionsTest, FailFastDiagnosticsCarryRuleIds) {
 TEST(SessionOptionsTest, CacheConfigLowersAndNormalizes) {
   SessionOptions options;
   options.block_bytes = 300;
-  options.capacity_blocks = 64;
   options.incremental = false;
-  options.max_dirty_ratio = 0.25;
   dbg::CacheConfig config = options.ToCacheConfig();
   EXPECT_EQ(config.block_bytes, 300u);
-  EXPECT_EQ(config.capacity_blocks, 64u);
+  EXPECT_EQ(config.capacity_blocks, dbg::CacheConfig{}.capacity_blocks);
   EXPECT_FALSE(config.delta_invalidation);
-  EXPECT_EQ(config.max_dirty_ratio, 0.25);
   // The serving defaults lower to the incremental block cache.
   EXPECT_EQ(SessionOptions{}.ToCacheConfig(), dbg::CacheConfig::Incremental());
 
@@ -220,7 +209,6 @@ TEST_F(ServeTest, AdmissionRejectsSessionOverBudget) {
   // refresh is guaranteed to charge > 0 virtual ns.
   SessionOptions options;
   options.block_bytes = 0;
-  options.capacity_blocks = 0;
   options.incremental = false;
   options.session_budget_ns = 1;
   auto client = server.Connect(options);
@@ -378,6 +366,49 @@ TEST_F(ServeTest, WorkerPoolServesConcurrentClients) {
     executed += (*client)->executed();
   }
   EXPECT_EQ(executed, 1u);
+}
+
+// Two shards refresh at once on the worker pool with tracing off, as
+// server.h advertises. Each round steps both kernels first, so every refresh
+// starts with its shard's delta refresh (a vectored read). Under the tsan
+// preset this checks that nothing the refresh path writes is shared between
+// shards.
+TEST_F(ServeTest, TwoShardsRefreshConcurrentlyOnTheWorkerPool) {
+  constexpr int kRounds = 20;
+  ServerConfig config;
+  config.workers = 2;
+  Server server(config);
+  const std::vector<std::string> shards = {"k0", "k1"};
+  std::vector<vl::StatusOr<Client>> clients;
+  for (const std::string& shard : shards) {
+    Boot(server, shard);
+    SessionOptions options;
+    options.shard = shard;
+    clients.push_back(server.Connect(options));
+    ASSERT_TRUE(clients.back().ok());
+    ASSERT_TRUE((*clients.back())->Plot(1, Fig("fig7_1")).ok());
+  }
+  for (int round = 0; round < kRounds; ++round) {
+    for (const std::string& shard : shards) {
+      server.shard_kernel(shard)->TickCpu(round % vkern::kNrCpus);
+    }
+    std::vector<Ticket> tickets;
+    for (auto& client : clients) {
+      auto ticket = (*client)->SubmitRefresh(1);
+      ASSERT_TRUE(ticket.ok());
+      tickets.push_back(*ticket);
+    }
+    for (Ticket& ticket : tickets) {
+      auto result = ticket.Wait();
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_FALSE(result->render.empty());
+    }
+    server.Drain();
+  }
+  for (const std::string& shard : shards) {
+    EXPECT_GT(server.shard_debugger(shard)->session().cache_stats().refreshed_blocks, 0u)
+        << shard;
+  }
 }
 
 TEST_F(ServeTest, ShellOnConnectedSessionReportsServeSection) {

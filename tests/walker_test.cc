@@ -13,7 +13,6 @@
 #include "src/dbg/kernel_introspect.h"
 #include "src/dbg/read_session.h"
 #include "src/serve/shell.h"
-#include "src/support/metrics.h"
 #include "src/viewcl/interp.h"
 #include "src/vision/figures.h"
 #include "src/vision/render.h"
@@ -147,7 +146,6 @@ TEST_F(WalkerTest, ByteIdenticalAfterIncrementalSteps) {
 TEST_F(WalkerTest, BatchAccountingReconcilesExactly) {
   for (const vision::FigureDef& figure : vision::AllFigures()) {
     auto debugger = MakeDebugger();
-    debugger->target().ResetStats();  // zero the read.vector.* family
     Interpreter interp(debugger.get());
     auto graph = interp.RunProgram(figure.viewcl);
     ASSERT_TRUE(graph.ok()) << graph.status().ToString();
@@ -162,11 +160,8 @@ TEST_F(WalkerTest, BatchAccountingReconcilesExactly) {
     EXPECT_GT(walk.batches, 0u) << figure.id;
     EXPECT_LE(walk.batches, walk.levels) << figure.id;
     EXPECT_EQ(target.reads(), walk.batches + walk.unbatched_reads) << figure.id;
-    // The session's vectored-fetch stats mirror the target's batch count.
+    // The session's vectored-fetch stats mirror the walker's batch count.
     EXPECT_EQ(debugger->session().cache_stats().vector_batches, walk.batches) << figure.id;
-    EXPECT_EQ(vl::MetricsRegistry::Instance().GetCounter("read.vector.batches")->value(),
-              walk.batches)
-        << figure.id;
   }
 }
 
@@ -195,13 +190,14 @@ TEST_F(WalkerTest, ColdExtractionCheaperWhenBatched) {
 // never runs.
 TEST_F(WalkerTest, NoBatchingWithoutBlockCache) {
   auto debugger = MakeDebugger(dbg::CacheConfig::Disabled());
-  debugger->target().ResetStats();
   Interpreter interp(debugger.get());
   const vision::FigureDef* figure = vision::FindFigure("fig3_4");
   ASSERT_NE(figure, nullptr);
   ASSERT_TRUE(interp.RunProgram(figure->viewcl).ok());
   EXPECT_EQ(interp.walk_stats().runs, 0u);
-  EXPECT_EQ(vl::MetricsRegistry::Instance().GetCounter("read.vector.batches")->value(), 0u);
+  EXPECT_EQ(interp.walk_stats().batches, 0u);
+  EXPECT_EQ(debugger->session().cache_stats().vector_batches, 0u);
+  EXPECT_GT(debugger->target().reads(), 0u);
 }
 
 // Every figure's cold batched paint stays within its checked-in ceiling.
@@ -346,7 +342,8 @@ TEST_F(WalkerTest, ReadVectorChargesOneBatch) {
             model.per_access_ns + model.per_byte_ns * (sizeof(a) + sizeof(b)));
 }
 
-// ResetStats zeroes the vectored-read counter family with the clock.
+// The vectored-read counts live on the objects that issue the batches: the
+// session's cache stats and the engine's walk stats, each reset on its own.
 TEST_F(WalkerTest, ResetStatsClearsVectorCounters) {
   auto debugger = MakeDebugger();
   Interpreter interp(debugger.get());
@@ -354,13 +351,16 @@ TEST_F(WalkerTest, ResetStatsClearsVectorCounters) {
   ASSERT_NE(figure, nullptr);
   ASSERT_TRUE(interp.RunProgram(figure->viewcl).ok());
 
-  vl::MetricsRegistry& metrics = vl::MetricsRegistry::Instance();
-  ASSERT_GT(metrics.GetCounter("read.vector.batches")->value(), 0u);
+  dbg::ReadSession& session = debugger->session();
+  ASSERT_GT(session.cache_stats().vector_batches, 0u);
+  ASSERT_GT(session.cache_stats().vector_blocks, session.cache_stats().vector_batches);
+  ASSERT_GT(interp.walk_stats().batches, 0u);
 
-  debugger->target().ResetStats();
-  EXPECT_EQ(metrics.GetCounter("read.vector.batches")->value(), 0u);
-  EXPECT_EQ(metrics.GetCounter("read.vector.spans")->value(), 0u);
-  EXPECT_EQ(metrics.GetCounter("read.vector.avoided_round_trips")->value(), 0u);
+  session.ResetCacheStats();
+  EXPECT_EQ(session.cache_stats().vector_batches, 0u);
+  EXPECT_EQ(session.cache_stats().vector_blocks, 0u);
+  interp.ResetWalkStats();
+  EXPECT_EQ(interp.walk_stats().batches, 0u);
 }
 
 // The serving surfaces: `vctrl stats` grows a walk: line, the stats JSON
@@ -398,14 +398,16 @@ TEST_F(WalkerTest, ShellExposesWalkerStats) {
   std::string stats_json = shell.Execute("vctrl stats json");
   EXPECT_NE(stats_json.find("\"unbatched_reads\""), std::string::npos) << stats_json;
   EXPECT_EQ(stats_json.find("\"plan\""), std::string::npos);
-  EXPECT_EQ(shell.Execute("vctrl export prom").find("vl_plan_"), std::string::npos);
+  std::string prom = shell.Execute("vctrl export prom");
+  EXPECT_EQ(prom.find("vl_plan_"), std::string::npos);
+  EXPECT_EQ(prom.find("vl_read_vector_"), std::string::npos);
   std::string plan = shell.Execute("vctrl plan 1");
   EXPECT_EQ(plan.rfind("usage: vctrl", 0), 0u) << plan;
   EXPECT_EQ(plan.find("|plan|"), std::string::npos) << plan;
 
   server.ResetStats();
   EXPECT_EQ(server.StatsToJson()["walk"]["levels"].AsInt(), 0);
-  EXPECT_EQ(vl::MetricsRegistry::Instance().GetCounter("read.vector.batches")->value(), 0u);
+  EXPECT_EQ(server.StatsToJson()["walk"]["batches"].AsInt(), 0);
 }
 
 }  // namespace
