@@ -11,12 +11,7 @@ namespace dbg {
 Target::Target(const MemoryDomain* memory, LatencyModel model)
     : memory_(memory),
       model_(std::move(model)),
-      trace_flag_(vl::Tracer::Instance().enabled_flag()) {
-  // The most recently created target drives trace timestamps.
-  vl::Tracer::Instance().SetClock(&clock_);
-}
-
-Target::~Target() { vl::Tracer::Instance().ClearClockIf(&clock_); }
+      trace_flag_(vl::Tracer::Instance().enabled_flag()) {}
 
 void Target::set_model(LatencyModel model) {
   std::lock_guard<std::mutex> lock(stats_mu_);
@@ -32,12 +27,6 @@ void Target::ResetStats() {
   dirty_stats_ = DirtyStats{};
   by_model_.clear();
   model_nanos_base_ = model_reads_base_ = model_bytes_base_ = 0;
-  // The dbg.read.* histograms and per-type counters fed by RecordRead are
-  // logically part of this target's read stats; clear them together so
-  // back-to-back bench phases start from zero. Same for the dirty-log
-  // counters fed by RecordDirtyQuery.
-  vl::MetricsRegistry::Instance().ResetPrefix("dbg.read");
-  vl::MetricsRegistry::Instance().ResetPrefix("dirty.");
 }
 
 size_t Target::ReadVector(std::vector<ReadSpan>& spans) {
@@ -86,7 +75,7 @@ void Target::RecordVector(const std::vector<ReadSpan>& spans, size_t ok_count,
     }
   }
   vl::Tracer::Instance().CompleteEvent(
-      "dbg.read_vector", clock_.nanos() - cost, cost,
+      "dbg.read_vector", cost,
       {{"spans", static_cast<int64_t>(ok_count)}, {"bytes", static_cast<int64_t>(ok_bytes)}});
 }
 
@@ -118,12 +107,12 @@ void Target::RecordDirtyQuery(const DirtyPageInfo& info, uint64_t cost) {
   metrics.GetCounter("dirty.pages_scanned")->Add(info.pages_scanned);
   metrics.GetCounter("dirty.pages_dirty")->Add(info.dirty_pages.size());
   vl::Tracer& tracer = vl::Tracer::Instance();
-  // Attribute the query to whatever the pipeline was doing (the clock
-  // advance already landed inside the open span; this surfaces it as an
-  // argument in the explain tree).
+  // Attribute the query to whatever the pipeline was doing (the leaf below
+  // charges the open span; this surfaces it as an argument in the explain
+  // tree).
   tracer.Annotate("dirty.query_ns", static_cast<int64_t>(cost));
   tracer.Annotate("dirty.pages_dirty", static_cast<int64_t>(info.dirty_pages.size()));
-  tracer.CompleteEvent("dbg.dirty_query", clock_.nanos() - cost, cost,
+  tracer.CompleteEvent("dbg.dirty_query", cost,
                        {{"pages_dirty", static_cast<int64_t>(info.dirty_pages.size())},
                         {"pages_scanned", static_cast<int64_t>(info.pages_scanned)}});
 }
@@ -165,9 +154,8 @@ void Target::RecordRead(size_t len, uint64_t cost) {
   const char* tag = read_tag_ != nullptr ? read_tag_ : "untyped";
   metrics.GetCounter(std::string("dbg.read.by_type.") + tag)->Add();
   metrics.GetCounter(std::string("dbg.read.bytes.by_type.") + tag)->Add(len);
-  vl::Tracer::Instance().CompleteEvent(
-      "dbg.read", clock_.nanos() - cost, cost,
-      {{"bytes", static_cast<int64_t>(len)}});
+  vl::Tracer::Instance().CompleteEvent("dbg.read", cost,
+                                       {{"bytes", static_cast<int64_t>(len)}});
 }
 
 vl::Json TransportStats::ToJson() const {

@@ -7,9 +7,10 @@
 // Charges are attributed to the latency model that incurred them, so a run
 // that swaps models mid-flight (bench_table4 measures both transports on one
 // target) can still report time per transport. When tracing is enabled
-// (support/trace.h) each read additionally emits a `dbg.read` leaf span and
-// feeds size/latency histograms plus per-struct-type counters; the disabled
-// fast path is one relaxed atomic flag load.
+// (support/trace.h) each read additionally reports its charge to the tracer
+// as a `dbg.read` leaf span and feeds size/latency histograms plus
+// per-struct-type counters; the disabled fast path is one relaxed atomic
+// flag load.
 
 #ifndef SRC_DBG_TARGET_H_
 #define SRC_DBG_TARGET_H_
@@ -113,7 +114,6 @@ struct TransportStats {
 class Target {
  public:
   Target(const MemoryDomain* memory, LatencyModel model);
-  ~Target();
 
   Target(const Target&) = delete;
   Target& operator=(const Target&) = delete;
@@ -141,8 +141,9 @@ class Target {
   // Queries the memory domain for pages changed after `since_generation`.
   // Supported domains charge one dirty-log round trip
   // (model().dirty_query_ns) plus the bitmap payload (one bit per tracked
-  // page at per_byte_ns) to the virtual clock; the advance lands inside
-  // whatever trace span is open, so explain trees keep reconciling exactly.
+  // page at per_byte_ns) to the virtual clock; when tracing, the charge is
+  // recorded into whatever span is open, so explain trees keep reconciling
+  // exactly.
   // Unsupported domains return {supported: false} and charge nothing.
   DirtyPageInfo DirtyPagesSince(uint64_t since_generation);
 
@@ -163,11 +164,12 @@ class Target {
   const vl::VirtualClock& clock() const { return clock_; }
   uint64_t reads() const { return reads_.load(std::memory_order_relaxed); }
   uint64_t bytes_read() const { return bytes_read_.load(std::memory_order_relaxed); }
-  // Resets clock, totals, per-model attribution, AND the `dbg.read.*` /
-  // `dirty.*` tracing metrics recorded via RecordRead / RecordVector /
-  // RecordDirtyQuery, so back-to-back bench phases can't leak counts into
-  // each other. Safe to call while readers snapshot stats concurrently (they
-  // see either pre- or post-reset values, never a torn map).
+  // Resets this target's clock, totals, dirty-log stats and per-model
+  // attribution, and nothing another owner holds: the process-wide
+  // `dbg.read.*` / `dirty.*` tracing metrics are tracing data, cleared with
+  // the trace (`vctrl trace clear`, MetricsRegistry::Reset). Safe to call
+  // while readers snapshot stats concurrently (they see either pre- or
+  // post-reset values, never a torn map).
   void ResetStats();
 
   // Charges attributed per latency-model name, snapshotted by value so a

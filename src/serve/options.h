@@ -35,9 +35,9 @@ struct SessionOptions {
   // --- extraction engines & request dedup ---
   // Per-program shard engines: ViewCL programs are loaded once per shard and
   // re-Run() on refresh, so interning/memo snapshots persist across refreshes
-  // and are shared by every session plotting the same figure. false gives
-  // the session a private interpreter that re-loads the program on every
-  // replot: a from-scratch reference (vbench's oracle renders on it).
+  // and are shared by every session plotting the same figure. false runs
+  // every replot of the session on a fresh interpreter: a from-scratch
+  // reference (vbench's oracle renders on it).
   bool shared_engines = true;
   // Coalesce identical concurrent work: refreshes of the same (figure,
   // epoch, backend) are served once and fanned out from the shard's result

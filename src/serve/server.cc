@@ -44,6 +44,9 @@ struct Shard {
 
   // The sweeps Server::Sweep ran on this shard (guarded by mu).
   analysis::CheckStats check;
+  // The walks of the fresh engines that private-engine sessions replot on
+  // (guarded by mu).
+  viewcl::WalkStats private_walk;
 };
 
 }  // namespace internal
@@ -101,13 +104,6 @@ Session::Session(Server* server, internal::Shard* shard, SessionOptions options,
 Session::~Session() { server_->CancelSession(this); }
 
 const std::string& Session::shard_name() const { return shard_->name; }
-
-viewcl::Interpreter* Session::classic_engine() {
-  if (classic_engine_ == nullptr) {
-    classic_engine_ = std::make_unique<viewcl::Interpreter>(debugger_);
-  }
-  return classic_engine_.get();
-}
 
 vl::StatusOr<Session::PlotResult> Session::Plot(int pane, const std::string& program) {
   std::unique_ptr<viewcl::ViewGraph> graph;
@@ -583,17 +579,16 @@ ServeResult Server::ServeFromCacheLocked(Session* session, internal::Shard* shar
 vl::StatusOr<std::unique_ptr<viewcl::ViewGraph>> Server::ReplotLocked(
     Session* session, const std::string& program) {
   session->last_warnings_.clear();
+  internal::Shard* shard = session->shard_;
   if (!session->options_.shared_engines) {
-    // One private interpreter that re-loads the program on every replot
-    // (bindings accumulate across panes): the from-scratch reference.
-    viewcl::Interpreter* engine = session->classic_engine();
-    uint64_t memo_before = engine->memo_replays();
-    auto result = engine->RunProgram(program);
-    session->last_warnings_ = engine->warnings();
-    session->last_memo_replays_ = engine->memo_replays() - memo_before;
+    // A fresh interpreter per replot: the from-scratch reference.
+    viewcl::Interpreter engine(shard->debugger);
+    auto result = engine.RunProgram(program);
+    session->last_warnings_ = engine.warnings();
+    session->last_memo_replays_ = engine.memo_replays();
+    shard->private_walk += engine.walk_stats();
     return result;
   }
-  internal::Shard* shard = session->shard_;
   std::unique_ptr<viewcl::Interpreter>& slot = shard->engines[program];
   if (slot == nullptr) {
     slot = std::make_unique<viewcl::Interpreter>(shard->debugger);
@@ -788,15 +783,10 @@ vl::Json Server::StatsToJson() const {
       s["engines"] = vl::Json::Int(static_cast<int64_t>(shard->engines.size()));
       s["control_ns"] = vl::Json::Int(static_cast<int64_t>(shard->control_ns));
       // The walker accounting of the engines that run under the shard lock:
-      // the shared per-program engines and the sessions' private ones.
-      viewcl::WalkStats walk;
+      // the shared per-program engines and the private replots' fresh ones.
+      viewcl::WalkStats walk = shard->private_walk;
       for (const auto& [program, engine] : shard->engines) {
         walk += engine->walk_stats();
-      }
-      for (const Session* session : sessions_) {
-        if (session->shard_ == shard.get() && session->classic_engine_ != nullptr) {
-          walk += session->classic_engine_->walk_stats();
-        }
       }
       s["walk"] = walk.ToJson();
       total_walk += walk;
@@ -1255,13 +1245,9 @@ void Server::ResetStats() {
       shard->control_ns = 0;
       shard->check = analysis::CheckStats{};
       shard->clock0 = shard->debugger->target().clock().nanos();
+      shard->private_walk = viewcl::WalkStats{};
       for (auto& [program, engine] : shard->engines) {
         engine->ResetWalkStats();
-      }
-      for (Session* session : sessions_) {
-        if (session->shard_ == shard.get() && session->classic_engine_ != nullptr) {
-          session->classic_engine_->ResetWalkStats();
-        }
       }
     }
     {

@@ -167,7 +167,6 @@ class Session {
   friend class Server;
 
   Session(Server* server, internal::Shard* shard, SessionOptions options, int id);
-  viewcl::Interpreter* classic_engine();
 
   Server* server_;
   internal::Shard* shard_;
@@ -178,8 +177,6 @@ class Session {
   vl::TimeSeriesRecorder recorder_;
   vl::BudgetRegistry budgets_;
   vision::PaneManager panes_;
-  // Private interpreter of a session without shared engines.
-  std::unique_ptr<viewcl::Interpreter> classic_engine_;
   // Engine warnings from the most recent replot through this session.
   std::vector<std::string> last_warnings_;
   // Memo replays observed by the most recent replot (guarded by the shard
@@ -342,7 +339,8 @@ class Server {
   // Server is its only friend, so the queue path lives here).
   vl::StatusOr<Ticket> Submit(Session* session, int pane, const std::string& backend,
                               const vision::RenderOptions& options);
-  // Replot through the session's engine. Caller holds the shard lock.
+  // Replot through the session's engine (the shard's per-program engine, or
+  // a fresh one without shared engines). Caller holds the shard lock.
   vl::StatusOr<std::unique_ptr<viewcl::ViewGraph>> ReplotLocked(Session* session,
                                                                 const std::string& program);
   // Serves a result-cache hit: stamps dedup accounting, a fresh sequence

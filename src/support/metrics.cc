@@ -58,28 +58,6 @@ void MetricsRegistry::Reset() {
   }
 }
 
-void MetricsRegistry::ResetPrefix(std::string_view prefix) {
-  auto starts_with = [prefix](const std::string& name) {
-    return name.size() >= prefix.size() &&
-           name.compare(0, prefix.size(), prefix) == 0;
-  };
-  for (auto& [name, counter] : counters_) {
-    if (starts_with(name)) {
-      counter.Reset();
-    }
-  }
-  for (auto& [name, gauge] : gauges_) {
-    if (starts_with(name)) {
-      gauge.Reset();
-    }
-  }
-  for (auto& [name, histogram] : histograms_) {
-    if (starts_with(name)) {
-      histogram.Reset();
-    }
-  }
-}
-
 Json Histogram::ToJson() const {
   Json h = Json::Object();
   h["count"] = Json::Int(static_cast<int64_t>(count()));

@@ -10,6 +10,8 @@
 // not here; the registry itself is always usable. With tracing off nothing
 // records into it except Server::PublishMetrics, which sets gauges on export;
 // counts that must hold without tracing live on the objects that produce them.
+// It is reset only whole, with the trace (`vctrl trace clear`): no per-object
+// reset (Target::ResetStats, Server::ResetStats) touches it.
 
 #ifndef SRC_SUPPORT_METRICS_H_
 #define SRC_SUPPORT_METRICS_H_
@@ -17,7 +19,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <string_view>
 
 #include "src/support/json.h"
 
@@ -130,8 +131,6 @@ class MetricsRegistry {
 
   // Zeroes every metric (names persist so pointers stay valid).
   void Reset();
-  // Zeroes every metric whose name starts with prefix (e.g. "dbg.read").
-  void ResetPrefix(std::string_view prefix);
 
   // {"counters": {...}, "gauges": {...}, "histograms": {name: {count, sum,
   // min, max, p50, p90, p99, buckets: [[upper_edge, count], ...]}}}

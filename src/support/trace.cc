@@ -20,7 +20,7 @@ void Tracer::BeginSpan(std::string name) {
   }
   OpenSpan span;
   span.name = std::move(name);
-  span.start_ns = NowNanos();
+  span.start_ns = now_ns_;
   span.seq = seq_++;
   stack_.push_back(std::move(span));
 }
@@ -31,8 +31,7 @@ void Tracer::EndSpan() {
   }
   OpenSpan span = std::move(stack_.back());
   stack_.pop_back();
-  uint64_t end_ns = NowNanos();
-  uint64_t dur = end_ns - span.start_ns;
+  uint64_t dur = now_ns_ - span.start_ns;
   uint64_t self = dur - std::min(dur, span.child_ns);
   if (!stack_.empty()) {
     stack_.back().child_ns += dur;
@@ -65,7 +64,7 @@ void Tracer::EndSpan() {
   Push(std::move(event));
 }
 
-void Tracer::CompleteEvent(std::string name, uint64_t ts_ns, uint64_t dur_ns,
+void Tracer::CompleteEvent(std::string name, uint64_t dur_ns,
                            std::vector<std::pair<std::string, int64_t>> args) {
   if (!stack_.empty()) {
     stack_.back().child_ns += dur_ns;
@@ -89,7 +88,8 @@ void Tracer::CompleteEvent(std::string name, uint64_t ts_ns, uint64_t dur_ns,
   }
 
   TraceEvent event;
-  event.ts_ns = ts_ns;
+  event.ts_ns = now_ns_;
+  now_ns_ += dur_ns;
   event.dur_ns = dur_ns;
   event.self_ns = dur_ns;
   event.seq = seq_++;
@@ -122,6 +122,7 @@ void Tracer::Clear() {
   next_slot_ = 0;
   dropped_ = 0;
   seq_ = 0;
+  now_ns_ = 0;
   stats_.clear();
   ResetTree();
 }

@@ -1,13 +1,16 @@
 // Deterministic hierarchical span tracing for the extract→query→render
 // pipeline.
 //
-// Spans are stamped with *virtual* time (the debugger target's VirtualClock,
-// the same clock Table 4 reports) plus a monotonic sequence number, never with
-// wall-clock time — so two identical runs produce byte-identical traces, in
-// the spirit of rr's deterministic event recording. Completed spans land in a
-// bounded ring buffer (oldest evicted first); per-name aggregates (count,
-// total, self time) are kept separately and never evicted, which is what the
-// `vprof` self-time breakdown and the text report consume.
+// Spans are stamped with *virtual* time, never wall-clock time, and the
+// tracer keeps that time itself, as rr counts the traced execution's own
+// retired branches: it is the sum of the charges recorded since Clear().
+// Every nanosecond a Target charges reaches the tracer as a leaf event, so a
+// span's duration is exactly what was charged inside it, whichever Target
+// charged, and two identical runs produce byte-identical traces. Completed
+// spans land in a bounded ring buffer (oldest evicted first); per-name
+// aggregates (count, total, self time) are kept separately and never
+// evicted, which is what the `vprof` self-time breakdown and the text report
+// consume.
 //
 // The fast path when tracing is off is a single relaxed atomic flag load:
 //
@@ -30,14 +33,13 @@
 #include <vector>
 
 #include "src/support/json.h"
-#include "src/support/vclock.h"
 
 namespace vl {
 
 // One completed span, as stored in the ring buffer.
 struct TraceEvent {
   std::string name;
-  uint64_t ts_ns = 0;    // virtual time at span begin
+  uint64_t ts_ns = 0;    // virtual time at span begin (ns recorded since Clear)
   uint64_t dur_ns = 0;   // virtual duration
   uint64_t self_ns = 0;  // dur_ns minus direct children
   uint64_t seq = 0;      // sequence number assigned at begin (total order)
@@ -78,25 +80,18 @@ class Tracer {
   void Enable() { enabled_.store(true, std::memory_order_relaxed); }
   void Disable() { enabled_.store(false, std::memory_order_relaxed); }
 
-  // The time source: the active debugger target's virtual clock. Registered
-  // by Target's constructor (last target created wins), cleared by its
-  // destructor. With no clock, timestamps read 0 and only sequence numbers
-  // order events.
-  void SetClock(const VirtualClock* clock) { clock_ = clock; }
-  void ClearClockIf(const VirtualClock* clock) {
-    if (clock_ == clock) {
-      clock_ = nullptr;
-    }
-  }
-  const VirtualClock* clock() const { return clock_; }
-  uint64_t NowNanos() const { return clock_ != nullptr ? clock_->nanos() : 0; }
+  // Virtual time: the sum of the durations CompleteEvent recorded since the
+  // last Clear(). Spans begin and end at it.
+  uint64_t NowNanos() const { return now_ns_; }
 
   // --- recording ---
   void BeginSpan(std::string name);
   void EndSpan();
-  // Records an already-timed leaf span (e.g. one dbg.read, whose duration is
-  // the charge it put on the clock). Attributed as a child of the open span.
-  void CompleteEvent(std::string name, uint64_t ts_ns, uint64_t dur_ns,
+  // Records a charge as a leaf span (e.g. one dbg.read, whose duration is the
+  // charge it put on its Target's clock): stamped with the current time,
+  // which it then advances by `dur_ns`. Attributed as a child of the open
+  // span.
+  void CompleteEvent(std::string name, uint64_t dur_ns,
                      std::vector<std::pair<std::string, int64_t>> args = {});
   // Accumulates `delta` into the innermost open span's `key` argument (a
   // no-op with no open span). ReadSession uses this to attribute cache
@@ -104,8 +99,8 @@ class Tracer {
   void Annotate(const char* key, int64_t delta);
 
   // Drops all events, aggregates, open spans, and the attribution tree;
-  // resets the sequence counter. Does not touch the enabled flag, the clock
-  // registration, or tree mode.
+  // resets the sequence counter and the virtual time. Does not touch the
+  // enabled flag or tree mode.
   void Clear();
   // Resizes the ring. The newest min(buffered, capacity) events survive in
   // order; events shed by a shrink count toward dropped().
@@ -138,7 +133,8 @@ class Tracer {
 
   // --- exporters ---
   // Chrome trace_event JSON (chrome://tracing / Perfetto). Timestamps are
-  // virtual nanoseconds emitted as integer `ts`/`dur` fields.
+  // virtual nanoseconds recorded since the last Clear(), emitted as integer
+  // `ts`/`dur` fields.
   Json ToChromeJson() const;
   // Flat per-name table sorted by self time, top `top_n` rows (0 = all).
   std::string TextReport(size_t top_n = 0) const;
@@ -164,7 +160,7 @@ class Tracer {
   void ResetTree();
 
   std::atomic<bool> enabled_{false};
-  const VirtualClock* clock_ = nullptr;
+  uint64_t now_ns_ = 0;
   std::vector<OpenSpan> stack_;
   std::vector<TraceEvent> ring_;  // circular once size() == capacity_
   size_t capacity_ = kDefaultCapacity;

@@ -181,6 +181,20 @@ void PaneManager::AttachObservers(vl::TimeSeriesRecorder* recorder,
   budgets_ = budgets;
 }
 
+namespace {
+
+// Total time of the `name` spans in an attribution tree, nested ones
+// included (as Tracer::stats() sums them).
+uint64_t SpanTotal(const vl::TreeNode& node, const std::string& name) {
+  uint64_t total = 0;
+  for (const auto& [child_name, child] : node.children) {
+    total += (child_name == name ? child.total_ns : 0) + SpanTotal(child, name);
+  }
+  return total;
+}
+
+}  // namespace
+
 vl::StatusOr<RefreshResult> PaneManager::RefreshPane(int pane_id, const ReplotFn& replot) {
   Pane* pane = FindPane(pane_id);
   if (pane == nullptr) {
@@ -197,13 +211,13 @@ vl::StatusOr<RefreshResult> PaneManager::RefreshPane(int pane_id, const ReplotFn
   }
 
   // Arm tree-mode tracing for the watchdog unless the caller already did
-  // (the `vctrl explain` path clears + enables before calling us).
+  // (the `vctrl explain` path clears + enables before calling us). Enabling
+  // tree mode resets the tree; the spans traced so far stay.
   vl::Tracer& tracer = vl::Tracer::Instance();
   bool armed = budgets_ != nullptr && budgets_->armed();
   bool was_enabled = tracer.enabled();
   bool own_tracing = armed && !(was_enabled && tracer.tree_enabled());
   if (own_tracing) {
-    tracer.Clear();
     tracer.SetTreeEnabled(true);
     tracer.Enable();
   }
@@ -271,7 +285,8 @@ vl::StatusOr<RefreshResult> PaneManager::RefreshPane(int pane_id, const ReplotFn
   }
 
   // Watchdog: pane budgets check the refresh's clock delta; any other key is
-  // a phase budget checked against that span's total time in this refresh.
+  // a phase budget checked against that span's total time in this refresh's
+  // attribution tree.
   if (refresh_status.ok() && armed) {
     std::string pane_key = vl::StrFormat("pane.%d", pane_id);
     for (const auto& [key, budget_ns] : budgets_->budgets()) {
@@ -281,11 +296,7 @@ vl::StatusOr<RefreshResult> PaneManager::RefreshPane(int pane_id, const ReplotFn
       } else if (key.rfind("pane.", 0) == 0) {
         continue;  // another pane's budget; not this refresh's business
       } else {
-        auto it = tracer.stats().find(key);
-        if (it == tracer.stats().end()) {
-          continue;
-        }
-        actual = it->second.total_ns;
+        actual = SpanTotal(tracer.tree_root(), key);
       }
       if (actual > budget_ns) {
         budgets_->RecordViolation(key, budget_ns, actual, result.epoch,

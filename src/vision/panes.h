@@ -83,10 +83,11 @@ class PaneManager {
   // Re-extracts a primary pane end to end — replot its ViewCL program,
   // re-apply its ViewQL history, render — under one "pane.refresh" span, and
   // measures the whole thing on Target::clock(). While budgets are armed the
-  // refresh runs with the tracer in tree mode (cleared first) so violations
-  // carry the refresh's explain tree; tracer state is restored afterwards
-  // (the tree stays frozen for inspection). With tracing already on in tree
-  // mode (the `vctrl explain` path) the caller's setup is left untouched.
+  // refresh runs with the tracer in tree mode (the tree reset first, the
+  // spans traced before kept), phase budgets sum that tree, and violations
+  // carry it; tracer state is restored afterwards (the tree stays frozen for
+  // inspection). With tracing already on in tree mode (the `vctrl explain`
+  // path) the caller's setup is left untouched.
   vl::StatusOr<RefreshResult> RefreshPane(int pane_id, const ReplotFn& replot);
 
   // --- focus: search all panes for an object ---

@@ -214,6 +214,59 @@ TEST_F(ExplainTest, ExplainReconcilesWithClockForEveryFigure) {
   EXPECT_FALSE(Tracer::Instance().enabled());
 }
 
+// The tracer keeps its own time, so no other debugger over the kernel (a
+// second shard, or one built and destroyed) can take its clock away: a pane
+// on the first debugger still explains and budgets its own charges.
+TEST_F(ExplainTest, ExplainReconcilesOnTheFirstOfTwoDebuggers) {
+  Plot(1, "fig7_1");
+  dbg::KernelDebugger second(kernel_.get(), dbg::LatencyModel::GdbQemu());
+  ColdState();
+  std::string out = shell_->Execute("vctrl explain 1");
+  EXPECT_NE(out.find("(exact)"), std::string::npos) << out;
+  EXPECT_EQ(out.find("MISMATCH"), std::string::npos) << out;
+}
+
+TEST_F(ExplainTest, ExplainReconcilesAfterATemporaryDebuggerIsDestroyed) {
+  Plot(1, "fig7_1");
+  { dbg::KernelDebugger temporary(kernel_.get(), dbg::LatencyModel::GdbQemu()); }
+  ColdState();
+  std::string out = shell_->Execute("vctrl explain 1");
+  EXPECT_NE(out.find("(exact)"), std::string::npos) << out;
+  EXPECT_EQ(out.find("MISMATCH"), std::string::npos) << out;
+}
+
+TEST_F(ExplainTest, PhaseBudgetFiresOnTheFirstOfTwoDebuggers) {
+  Plot(1, "fig7_1");
+  dbg::KernelDebugger second(kernel_.get(), dbg::LatencyModel::GdbQemu());
+  ASSERT_EQ(shell_->Execute("vctrl budget set viewcl.eval 1"),
+            "budget viewcl.eval = 1 ns\n");
+  ColdState();
+  std::string out = shell_->Execute("vctrl refresh 1");
+  EXPECT_NE(out.find("budget violation: viewcl.eval"), std::string::npos) << out;
+  ASSERT_EQ(shell_->budgets().violations().size(), 1u);
+  EXPECT_GT(shell_->budgets().violations().front().actual_ns, 1u);
+}
+
+// The watchdog traces a budget-armed refresh in tree mode without clearing
+// the user's trace.
+TEST_F(ExplainTest, BudgetArmedRefreshKeepsTheSpansTracedBeforeIt) {
+  Tracer& tracer = Tracer::Instance();
+  ASSERT_EQ(shell_->Execute("vctrl trace on"), "tracing on\n");
+  Plot(1, "fig7_1");  // the shard engine parses the program here, once
+  const size_t traced = tracer.Snapshot().size();
+  ASSERT_GT(traced, 0u);
+  ASSERT_EQ(tracer.stats().count("viewcl.parse"), 1u);
+
+  ASSERT_EQ(shell_->Execute("vctrl budget set 1 1"), "budget pane.1 = 1 ns\n");
+  std::string out = shell_->Execute("vctrl refresh 1");
+  ASSERT_NE(out.find("refreshed pane 1"), std::string::npos) << out;
+  EXPECT_GT(tracer.Snapshot().size(), traced);
+  EXPECT_EQ(tracer.stats().count("viewcl.parse"), 1u);
+  EXPECT_TRUE(tracer.enabled());
+  EXPECT_FALSE(tracer.tree_enabled());
+  shell_->Execute("vctrl trace off");
+}
+
 TEST_F(ExplainTest, ExplainJsonReconcilesAndCarriesAllAttributionLevels) {
   Plot(1, "fig7_1");
   // Give the pane ViewQL history so the statement level shows up too.

@@ -584,7 +584,7 @@ TEST(DeltaRefreshTest, RefreshIsChargedToTheCacheNotTheReader) {
   vl::Tracer& tracer = vl::Tracer::Instance();
   vl::MetricsRegistry& metrics = vl::MetricsRegistry::Instance();
   tracer.Enable();
-  metrics.ResetPrefix("dbg.read");
+  metrics.Reset();
   {
     ReadSession::TagScope tag(&session, "task_struct");
     ASSERT_TRUE(session.ReadUnsigned(0, 8).ok());
@@ -596,7 +596,7 @@ TEST(DeltaRefreshTest, RefreshIsChargedToTheCacheNotTheReader) {
   EXPECT_EQ(metrics.GetCounter("dbg.read.by_type.cache.refresh")->value(), 1u);
   EXPECT_EQ(metrics.GetCounter("dbg.read.bytes.by_type.cache.refresh")->value(),
             session.config().block_bytes);
-  metrics.ResetPrefix("dbg.read");
+  metrics.Reset();
 }
 
 TEST(DeltaRefreshTest, UnreadRefreshedBlockIsReadAtMostOnce) {

@@ -1,9 +1,10 @@
 // vserve serving-layer tests: SessionOptions validation and lowering, request
 // dedup (one extraction serves every overlapping client), per-session view
-// isolation, byte-identical renders vs a raw reference session, admission
-// control, shard routing, cache-config sharing, the async scheduler (two
-// shards refreshing at once on the worker pool), the shell on a session, and
-// the Target stats snapshot race fixed alongside this layer.
+// isolation, byte-identical renders vs a raw reference session, private-engine
+// sessions replotting from scratch, admission control, shard routing,
+// cache-config sharing, the async scheduler (two shards refreshing at once on
+// the worker pool), the shell on a session, and the Target stats snapshot
+// race fixed alongside this layer.
 
 #include <gtest/gtest.h>
 
@@ -200,6 +201,64 @@ TEST_F(ServeTest, RendersByteIdenticalToSingleSessionMode) {
   auto again = (*client)->Refresh(1);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->render, served->render);
+}
+
+// A session without shared engines replots every refresh on a fresh
+// engine: however often it refreshes, and whatever its other panes plot, each
+// render matches a fresh session's.
+TEST_F(ServeTest, PrivateEngineReplotsFromScratch) {
+  Server server;
+  Boot(server, "k0", dbg::LatencyModel::Free());
+  SessionOptions raw;
+  raw.block_bytes = 0;
+  raw.incremental = false;
+  raw.shared_engines = false;
+  raw.coalesce = false;
+  raw.render_cache = false;
+  auto fresh_render = [&](const char* figure) {
+    auto client = server.Connect(raw);
+    EXPECT_TRUE(client.ok()) << client.status().ToString();
+    EXPECT_TRUE((*client)->Plot(1, Fig(figure)).ok());
+    return (*client)->Render(1);
+  };
+  const std::string fig3_4 = fresh_render("fig3_4");
+  const std::string fig7_1 = fresh_render("fig7_1");
+
+  auto client = server.Connect(raw);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE((*client)->Plot(1, Fig("fig3_4")).ok());
+  for (int refresh = 0; refresh < 2; ++refresh) {
+    ASSERT_TRUE((*client)->Refresh(1).ok());
+    EXPECT_EQ((*client)->Render(1), fig3_4) << "refresh " << refresh;
+  }
+  auto second = (*client)->Split(1, 'h');
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE((*client)->Plot(*second, Fig("fig7_1")).ok());
+  EXPECT_EQ((*client)->Render(*second), fig7_1);
+  EXPECT_EQ((*client)->Render(1), fig3_4);
+}
+
+// The fresh engines' walks count on their shard: they outlive the session,
+// and Server::ResetStats zeroes them.
+TEST_F(ServeTest, PrivateEngineWalksCountOnTheShard) {
+  Server server;
+  Boot(server, "k0", dbg::LatencyModel::Free());
+  auto walk_runs = [&] {
+    return server.StatsToJson()["shards"]["k0"]["walk"]["runs"].AsInt();
+  };
+  {
+    SessionOptions options;
+    options.shared_engines = false;
+    auto client = server.Connect(options);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    ASSERT_TRUE((*client)->Plot(1, Fig("fig3_4")).ok());
+    ASSERT_TRUE((*client)->Refresh(1).ok());
+    EXPECT_EQ(walk_runs(), 2);
+  }
+  EXPECT_EQ(walk_runs(), 2);  // the session disconnected
+  EXPECT_EQ(server.StatsToJson()["walk"]["runs"].AsInt(), 2);
+  server.ResetStats();
+  EXPECT_EQ(walk_runs(), 0);
 }
 
 TEST_F(ServeTest, AdmissionRejectsSessionOverBudget) {

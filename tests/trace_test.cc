@@ -13,7 +13,6 @@
 #include "src/dbg/kernel_introspect.h"
 #include "src/support/metrics.h"
 #include "src/support/trace.h"
-#include "src/support/vclock.h"
 #include "src/viewcl/interp.h"
 #include "src/vision/figures.h"
 #include "tests/served_shell.h"
@@ -36,18 +35,6 @@ class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override { Quiesce(); }
   void TearDown() override { Quiesce(); }
-};
-
-// Registers a local clock with the tracer for clock-only unit tests and
-// always un-registers it (the pointer would otherwise dangle).
-class ClockGuard {
- public:
-  ClockGuard() { Tracer::Instance().SetClock(&clock_); }
-  ~ClockGuard() { Tracer::Instance().ClearClockIf(&clock_); }
-  VirtualClock& clock() { return clock_; }
-
- private:
-  VirtualClock clock_;
 };
 
 TEST_F(TraceTest, HistogramBucketEdges) {
@@ -82,66 +69,75 @@ TEST_F(TraceTest, HistogramBucketEdges) {
   EXPECT_EQ(h.max(), 1ull << 20);
 }
 
+// Time advances only by the charges recorded into the tracer, so every
+// span's duration is the sum of the charges inside it.
 TEST_F(TraceTest, SpanNestingSelfTimeAndOrdering) {
-  ClockGuard guard;
   Tracer& tracer = Tracer::Instance();
   tracer.Enable();
 
   tracer.BeginSpan("outer");
-  guard.clock().AdvanceNanos(10);
+  tracer.CompleteEvent("charge", 10);
   tracer.BeginSpan("inner");
-  guard.clock().AdvanceNanos(5);
+  tracer.CompleteEvent("charge", 5);
   tracer.EndSpan();
-  guard.clock().AdvanceNanos(3);
+  tracer.CompleteEvent("charge", 3);
   tracer.EndSpan();
 
   auto events = tracer.Snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  // inner completes first (recorded at EndSpan).
-  EXPECT_EQ(events[0].name, "inner");
-  EXPECT_EQ(events[0].ts_ns, 10u);
-  EXPECT_EQ(events[0].dur_ns, 5u);
-  EXPECT_EQ(events[0].self_ns, 5u);
-  EXPECT_EQ(events[0].depth, 1);
-  EXPECT_EQ(events[1].name, "outer");
-  EXPECT_EQ(events[1].ts_ns, 0u);
-  EXPECT_EQ(events[1].dur_ns, 18u);
-  EXPECT_EQ(events[1].self_ns, 13u);  // 18 minus inner's 5
-  EXPECT_EQ(events[1].depth, 0);
-  EXPECT_LT(events[1].seq, events[0].seq);  // outer began first
+  ASSERT_EQ(events.size(), 5u);
+  // Leaves are stamped with the time before their charge.
+  EXPECT_EQ(events[0].ts_ns, 0u);
+  EXPECT_EQ(events[1].ts_ns, 10u);
+  EXPECT_EQ(events[3].ts_ns, 15u);
+  // inner completes before outer (recorded at EndSpan).
+  EXPECT_EQ(events[2].name, "inner");
+  EXPECT_EQ(events[2].ts_ns, 10u);
+  EXPECT_EQ(events[2].dur_ns, 5u);
+  EXPECT_EQ(events[2].self_ns, 0u);  // its charge is a child
+  EXPECT_EQ(events[2].depth, 1);
+  EXPECT_EQ(events[4].name, "outer");
+  EXPECT_EQ(events[4].ts_ns, 0u);
+  EXPECT_EQ(events[4].dur_ns, 18u);
+  EXPECT_EQ(events[4].self_ns, 0u);  // 18 minus inner's 5 and its charges' 13
+  EXPECT_EQ(events[4].depth, 0);
+  EXPECT_LT(events[4].seq, events[2].seq);  // outer began first
 
   // Self times partition the root's duration.
+  EXPECT_EQ(tracer.stats().at("charge").self_ns, 18u);
   EXPECT_EQ(tracer.TotalSelfNanos(), 18u);
 }
 
 TEST_F(TraceTest, CompleteEventChargesParent) {
-  ClockGuard guard;
   Tracer& tracer = Tracer::Instance();
   tracer.Enable();
 
   tracer.BeginSpan("parent");
-  guard.clock().AdvanceNanos(7);
-  tracer.CompleteEvent("leaf", 0, 7, {{"bytes", 8}});
-  guard.clock().AdvanceNanos(2);
+  tracer.CompleteEvent("leaf", 7, {{"bytes", 8}});
+  tracer.CompleteEvent("tail", 2);
   tracer.EndSpan();
 
   const auto& stats = tracer.stats();
   ASSERT_EQ(stats.count("parent"), 1u);
   ASSERT_EQ(stats.count("leaf"), 1u);
   EXPECT_EQ(stats.at("parent").total_ns, 9u);
-  EXPECT_EQ(stats.at("parent").self_ns, 2u);
+  EXPECT_EQ(stats.at("parent").self_ns, 0u);
   EXPECT_EQ(stats.at("leaf").self_ns, 7u);
+  EXPECT_EQ(stats.at("tail").self_ns, 2u);
   EXPECT_EQ(tracer.TotalSelfNanos(), 9u);
+  EXPECT_EQ(tracer.NowNanos(), 9u);
+
+  // Clear() restarts the time with the trace.
+  tracer.Clear();
+  EXPECT_EQ(tracer.NowNanos(), 0u);
 }
 
 TEST_F(TraceTest, RingEvictsOldestAndCountsDropped) {
-  ClockGuard guard;
   Tracer& tracer = Tracer::Instance();
   tracer.Enable();
   tracer.SetCapacity(4);
 
   for (int i = 0; i < 10; ++i) {
-    tracer.CompleteEvent("e", i, 1);
+    tracer.CompleteEvent("e", 1);  // event i is stamped i
   }
   EXPECT_EQ(tracer.dropped(), 6u);
   auto events = tracer.Snapshot();
@@ -155,12 +151,10 @@ TEST_F(TraceTest, RingEvictsOldestAndCountsDropped) {
 }
 
 TEST_F(TraceTest, DisabledRecordsNothing) {
-  ClockGuard guard;
   Tracer& tracer = Tracer::Instance();
   ASSERT_FALSE(tracer.enabled());
   {
     ScopedSpan span("ignored");
-    guard.clock().AdvanceNanos(5);
   }
   EXPECT_EQ(tracer.recorded(), 0u);
   EXPECT_TRUE(tracer.Snapshot().empty());
@@ -220,7 +214,6 @@ TEST_F(TraceTest, MetricsReportQuantiles) {
 }
 
 TEST_F(TraceTest, AnnotateAccumulatesIntoInnermostSpan) {
-  ClockGuard guard;
   Tracer& tracer = Tracer::Instance();
   tracer.Enable();
 
@@ -230,7 +223,6 @@ TEST_F(TraceTest, AnnotateAccumulatesIntoInnermostSpan) {
   tracer.Annotate("cache.hit_bytes", 8);
   tracer.Annotate("cache.hit_bytes", 8);
   tracer.Annotate("cache.miss_bytes", 16);
-  guard.clock().AdvanceNanos(2);
   tracer.EndSpan();
   tracer.EndSpan();
 
@@ -247,7 +239,6 @@ TEST_F(TraceTest, AnnotateAccumulatesIntoInnermostSpan) {
 }
 
 TEST_F(TraceTest, TreeModeBuildsCallingContextTreeWithRolledUpArgs) {
-  ClockGuard guard;
   Tracer& tracer = Tracer::Instance();
   tracer.SetTreeEnabled(true);
   tracer.Enable();
@@ -255,13 +246,12 @@ TEST_F(TraceTest, TreeModeBuildsCallingContextTreeWithRolledUpArgs) {
   // Two identical refresh-shaped passes: same-path spans merge into one node.
   for (int i = 0; i < 2; ++i) {
     tracer.BeginSpan("a");
-    guard.clock().AdvanceNanos(10);
+    tracer.CompleteEvent("setup", 10);
     tracer.BeginSpan("b");
-    guard.clock().AdvanceNanos(5);
+    tracer.CompleteEvent("read", 5, {{"bytes", 4}});
     tracer.Annotate("cache.hit_bytes", 8);
     tracer.EndSpan();
-    tracer.CompleteEvent("read", tracer.NowNanos(), 3, {{"bytes", 4}});
-    guard.clock().AdvanceNanos(3);
+    tracer.CompleteEvent("read", 3, {{"bytes", 4}});
     tracer.EndSpan();
   }
   tracer.SetTreeEnabled(false);  // freeze for inspection
@@ -271,11 +261,14 @@ TEST_F(TraceTest, TreeModeBuildsCallingContextTreeWithRolledUpArgs) {
   const TreeNode& a = root.children.at("a");
   EXPECT_EQ(a.count, 2u);
   EXPECT_EQ(a.total_ns, 36u);
-  EXPECT_EQ(a.self_ns, 20u);
+  EXPECT_EQ(a.self_ns, 0u);  // every nanosecond is a charge below it
+  ASSERT_EQ(a.children.count("setup"), 1u);
   ASSERT_EQ(a.children.count("b"), 1u);
   ASSERT_EQ(a.children.count("read"), 1u);
+  EXPECT_EQ(a.children.at("setup").total_ns, 20u);
   EXPECT_EQ(a.children.at("b").total_ns, 10u);
   EXPECT_EQ(a.children.at("b").args.at("cache.hit_bytes"), 16);
+  EXPECT_EQ(a.children.at("b").children.at("read").total_ns, 10u);
   EXPECT_EQ(a.children.at("read").total_ns, 6u);
 
   // Serialization rolls descendants' args up: node "a" reports its subtree's
@@ -286,7 +279,7 @@ TEST_F(TraceTest, TreeModeBuildsCallingContextTreeWithRolledUpArgs) {
   ASSERT_NE(ja, nullptr);
   EXPECT_EQ(ja->Find("total_ns")->AsInt(), 36);
   EXPECT_EQ(ja->Find("args")->Find("cache.hit_bytes")->AsInt(), 16);
-  EXPECT_EQ(ja->Find("args")->Find("bytes")->AsInt(), 8);
+  EXPECT_EQ(ja->Find("args")->Find("bytes")->AsInt(), 16);
 
   std::string text = tracer.TreeText();
   EXPECT_NE(text.find("a"), std::string::npos);
@@ -299,33 +292,31 @@ TEST_F(TraceTest, TreeModeBuildsCallingContextTreeWithRolledUpArgs) {
 }
 
 TEST_F(TraceTest, FoldedStacksReconstructFromRing) {
-  ClockGuard guard;
   Tracer& tracer = Tracer::Instance();
   tracer.Enable();
 
   for (int i = 0; i < 2; ++i) {
     tracer.BeginSpan("a");
-    guard.clock().AdvanceNanos(10);
+    tracer.CompleteEvent("setup", 10);
     tracer.BeginSpan("b");
-    guard.clock().AdvanceNanos(5);
+    tracer.CompleteEvent("read", 5);
     tracer.EndSpan();
-    tracer.CompleteEvent("read", tracer.NowNanos(), 3);
-    guard.clock().AdvanceNanos(3);
+    tracer.CompleteEvent("read", 3);
     tracer.EndSpan();
   }
-  EXPECT_EQ(tracer.ToFolded(), "a 20\na;b 10\na;read 6\n");
+  // The self times sum to the two roots' 36 ns.
+  EXPECT_EQ(tracer.ToFolded(), "a;b;read 10\na;read 6\na;setup 20\n");
 }
 
 // Shrinking the ring while it has wrapped must keep the newest events (in
 // order) and charge the shed ones to dropped(); the ring must keep working
 // at the new capacity afterwards.
 TEST_F(TraceTest, SetCapacityShrinkWhileWrappedKeepsNewest) {
-  ClockGuard guard;
   Tracer& tracer = Tracer::Instance();
   tracer.Enable();
   tracer.SetCapacity(8);
   for (int i = 0; i < 10; ++i) {
-    tracer.CompleteEvent("e", i, 1);
+    tracer.CompleteEvent("e", 1);  // event i is stamped i
   }
   ASSERT_EQ(tracer.dropped(), 2u);  // ring wrapped: ts 0 and 1 evicted
 
@@ -341,7 +332,7 @@ TEST_F(TraceTest, SetCapacityShrinkWhileWrappedKeepsNewest) {
   }
 
   // The ring wraps correctly at the new capacity.
-  tracer.CompleteEvent("e", 10, 1);
+  tracer.CompleteEvent("e", 1);  // stamped 10
   events = tracer.Snapshot();
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events.front().ts_ns, 7u);
@@ -451,9 +442,10 @@ TEST_F(TraceKernelTest, ReadsAreTaggedByKernelType) {
   EXPECT_GT(MetricsRegistry::Instance().histograms().at("dbg.read.bytes").count(), 0u);
 }
 
-// ResetStats must also clear the dbg.read.* histograms and per-type counters
-// fed by RecordRead, or back-to-back bench phases leak counts into each other.
-TEST_F(TraceKernelTest, ResetStatsClearsReadMetrics) {
+// Target::ResetStats zeroes only what the target owns: the process-wide
+// dbg.read.* tracing metrics and the trace survive it, and are cleared with
+// the trace by `vctrl trace clear`.
+TEST_F(TraceKernelTest, ResetStatsLeavesTracingData) {
   Tracer& tracer = Tracer::Instance();
   tracer.Enable();
   viewcl::Interpreter interp(debugger_.get());
@@ -461,13 +453,19 @@ TEST_F(TraceKernelTest, ResetStatsClearsReadMetrics) {
   tracer.Disable();
 
   MetricsRegistry& metrics = MetricsRegistry::Instance();
-  ASSERT_GT(metrics.histograms().at("dbg.read.bytes").count(), 0u);
-  ASSERT_GT(metrics.histograms().at("dbg.read.latency_ns").count(), 0u);
-  // An unrelated metric must survive the targeted reset.
-  metrics.GetCounter("unrelated.counter")->Add(7);
+  const uint64_t read_count = metrics.histograms().at("dbg.read.bytes").count();
+  ASSERT_GT(read_count, 0u);
+  const size_t spans = tracer.Snapshot().size();
 
   debugger_->target().ResetStats();
   EXPECT_EQ(debugger_->target().reads(), 0u);
+  EXPECT_EQ(debugger_->target().clock().nanos(), 0u);
+  EXPECT_EQ(metrics.histograms().at("dbg.read.bytes").count(), read_count);
+  EXPECT_EQ(metrics.histograms().at("dbg.read.latency_ns").count(), read_count);
+  EXPECT_EQ(tracer.Snapshot().size(), spans);
+
+  vltest::ServedShell shell(debugger_.get());
+  ASSERT_EQ(shell.Execute("vctrl trace clear"), "trace cleared\n");
   EXPECT_EQ(metrics.histograms().at("dbg.read.bytes").count(), 0u);
   EXPECT_EQ(metrics.histograms().at("dbg.read.latency_ns").count(), 0u);
   for (const auto& [name, counter] : metrics.counters()) {
@@ -475,7 +473,8 @@ TEST_F(TraceKernelTest, ResetStatsClearsReadMetrics) {
       EXPECT_EQ(counter.value(), 0u) << name;
     }
   }
-  EXPECT_EQ(metrics.counters().at("unrelated.counter").value(), 7u);
+  EXPECT_TRUE(tracer.Snapshot().empty());
+  EXPECT_EQ(tracer.NowNanos(), 0u);
 }
 
 TEST_F(TraceKernelTest, PerModelAttributionSumsToTotals) {
