@@ -473,7 +473,7 @@ int CheckIncrementalSpeedup() {
                        ? static_cast<double>(full_ns) / static_cast<double>(delta_ns)
                        : 1e100;
   uint64_t replays = 0;
-  for (const auto& interp : delta_interps) replays += interp->memo_replays();
+  for (const auto& interp : delta_interps) replays += interp->walk_stats().memo_replays;
   std::printf("incremental guard: GDB/QEMU %dx 6-pane steady-state refresh, "
               "full %.2f ms, delta %.2f ms, speedup %.1fx (floor 3x), "
               "%llu memo replays\n",

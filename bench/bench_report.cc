@@ -19,7 +19,6 @@
 #include "src/analysis/check.h"
 #include "src/analysis/lint.h"
 #include "src/serve/server.h"
-#include "src/support/metrics.h"
 #include "src/support/str.h"
 #include "src/support/trace.h"
 #include "src/viewcl/interp.h"
@@ -44,7 +43,6 @@ vl::Json MeasureFigure(vlbench::BenchEnv& env, const vision::FigureDef& figure,
                        const dbg::LatencyModel& model) {
   vl::Tracer& tracer = vl::Tracer::Instance();
   tracer.Clear();
-  vl::MetricsRegistry::Instance().Reset();
   env.debugger->target().set_model(model);
   env.debugger->target().ResetStats();
 
@@ -70,7 +68,7 @@ vl::Json MeasureFigure(vlbench::BenchEnv& env, const vision::FigureDef& figure,
   j["bytes"] = vl::Json::Int(static_cast<int64_t>(target.bytes_read()));
   j["trace_self_ns"] = vl::Json::Int(static_cast<int64_t>(tracer.TotalSelfNanos()));
   j["spans"] = SpanStatsToJson(tracer);
-  j["metrics"] = vl::MetricsRegistry::Instance().ToJson();
+  j["metrics"] = tracer.read_stats().ToJson();
   return j;
 }
 
@@ -78,7 +76,6 @@ vl::Json MeasureFigure(vlbench::BenchEnv& env, const vision::FigureDef& figure,
 vl::Json MeasureFig2Focus(vlbench::BenchEnv& env) {
   vl::Tracer& tracer = vl::Tracer::Instance();
   tracer.Clear();
-  vl::MetricsRegistry::Instance().Reset();
   env.debugger->target().set_model(dbg::LatencyModel::GdbQemu());
   env.debugger->target().ResetStats();
 
@@ -368,8 +365,8 @@ vl::Json MeasureIncremental(vlbench::BenchEnv& env, const dbg::LatencyModel& mod
   uint64_t memo_replays = 0;
   uint64_t memo_misses = 0;
   for (const auto& [id, interp] : delta_interps) {
-    memo_replays += interp->memo_replays();
-    memo_misses += interp->memo_misses();
+    memo_replays += interp->walk_stats().memo_replays;
+    memo_misses += interp->walk_stats().memo_misses;
   }
   j["ok"] = vl::Json::Bool(ok);
   j["renders_identical"] = vl::Json::Bool(identical);

@@ -131,8 +131,8 @@ struct CheckReport {
 };
 
 // Cumulative accounting of the sweeps run on one shard. Server::Sweep keeps
-// one per shard under the shard lock; `vctrl stats` and the
-// vl_check_fleet_* gauges sum them over the fleet.
+// one per shard under the shard lock; `vctrl stats` and the vl_serve_check_*
+// gauges sum them over the fleet.
 struct CheckStats {
   uint64_t sweeps = 0;
   uint64_t rules_run = 0;

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <set>
 
-#include "src/support/metrics.h"
 #include "src/support/str.h"
 #include "src/support/trace.h"
 #include "src/viewcl/parser.h"
@@ -1136,16 +1135,16 @@ class Linter::ViewQlChecker {
 
 namespace {
 
-// Bumps the lint.* counters (tracing only, like every other subsystem).
+// Annotates the open `vlint` span with the diagnostic counts (tracing only:
+// with tracing off there is no span to carry them).
 void CountLint(const vl::DiagnosticList& diags) {
-  if (!vl::Tracer::Instance().enabled()) {
+  vl::Tracer& tracer = vl::Tracer::Instance();
+  if (!tracer.enabled()) {
     return;
   }
-  vl::MetricsRegistry& metrics = vl::MetricsRegistry::Instance();
-  metrics.GetCounter("lint.programs")->Add(1);
-  metrics.GetCounter("lint.diagnostics.error")->Add(diags.errors());
-  metrics.GetCounter("lint.diagnostics.warning")->Add(diags.warnings());
-  metrics.GetCounter("lint.diagnostics.note")->Add(diags.Count(Severity::kNote));
+  tracer.Annotate("lint.errors", static_cast<int64_t>(diags.errors()));
+  tracer.Annotate("lint.warnings", static_cast<int64_t>(diags.warnings()));
+  tracer.Annotate("lint.notes", static_cast<int64_t>(diags.Count(Severity::kNote)));
 }
 
 vl::Diagnostic ParseFailure(const vl::Status& status) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "src/support/metrics.h"
 #include "src/support/str.h"
 #include "src/support/trace.h"
 
@@ -112,11 +111,7 @@ void ReadSession::FullInvalidate() {
     return;
   }
   stats_.invalidations++;
-  uint64_t bytes = static_cast<uint64_t>(blocks_.size()) * config_.block_bytes;
-  stats_.invalidated_bytes_full += bytes;
-  if (trace_flag_->load(std::memory_order_relaxed)) {
-    vl::MetricsRegistry::Instance().GetCounter("cache.invalidate.full")->Add(bytes);
-  }
+  stats_.invalidated_bytes_full += static_cast<uint64_t>(blocks_.size()) * config_.block_bytes;
   InvalidateAll();
 }
 
@@ -224,11 +219,7 @@ void ReadSession::RefreshStale(const std::vector<uint64_t>& stale) {
     lru_.erase(it->second.lru_it);
     blocks_.erase(it);
   }
-  uint64_t bytes = static_cast<uint64_t>(evict.size()) * config_.block_bytes;
-  stats_.invalidated_bytes_delta += bytes;
-  if (bytes != 0 && trace_flag_->load(std::memory_order_relaxed)) {
-    vl::MetricsRegistry::Instance().GetCounter("cache.invalidate.delta")->Add(bytes);
-  }
+  stats_.invalidated_bytes_delta += static_cast<uint64_t>(evict.size()) * config_.block_bytes;
 }
 
 uint64_t ReadSession::SyncEpoch() {

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "src/support/metrics.h"
 #include "src/support/str.h"
 #include "src/support/trace.h"
 
@@ -60,21 +59,19 @@ size_t Target::ReadVector(std::vector<ReadSpan>& spans) {
 
 void Target::RecordVector(const std::vector<ReadSpan>& spans, size_t ok_count,
                           size_t ok_bytes, uint64_t cost) {
-  // The batch is one read in the size/latency histograms; its spans feed the
-  // per-type counters under the tag each was recorded with.
-  vl::MetricsRegistry& metrics = vl::MetricsRegistry::Instance();
-  metrics.GetHistogram("dbg.read.bytes")->Record(ok_bytes);
-  metrics.GetHistogram("dbg.read.latency_ns")->Record(cost);
+  // The batch is one read in the size/latency histograms; its spans count
+  // under the tag each was recorded with.
+  vl::Tracer& tracer = vl::Tracer::Instance();
+  tracer.RecordRead(ok_bytes, cost);
   for (const ReadSpan& span : spans) {
     if (span.ok) {
       const char* tag = span.tag != nullptr   ? span.tag
                         : read_tag_ != nullptr ? read_tag_
                                                : "untyped";
-      metrics.GetCounter(std::string("dbg.read.by_type.") + tag)->Add();
-      metrics.GetCounter(std::string("dbg.read.bytes.by_type.") + tag)->Add(span.len);
+      tracer.CountTaggedRead(tag, span.len);
     }
   }
-  vl::Tracer::Instance().CompleteEvent(
+  tracer.CompleteEvent(
       "dbg.read_vector", cost,
       {{"spans", static_cast<int64_t>(ok_count)}, {"bytes", static_cast<int64_t>(ok_bytes)}});
 }
@@ -102,10 +99,6 @@ DirtyPageInfo Target::DirtyPagesSince(uint64_t since_generation) {
 }
 
 void Target::RecordDirtyQuery(const DirtyPageInfo& info, uint64_t cost) {
-  vl::MetricsRegistry& metrics = vl::MetricsRegistry::Instance();
-  metrics.GetCounter("dirty.queries")->Add();
-  metrics.GetCounter("dirty.pages_scanned")->Add(info.pages_scanned);
-  metrics.GetCounter("dirty.pages_dirty")->Add(info.dirty_pages.size());
   vl::Tracer& tracer = vl::Tracer::Instance();
   // Attribute the query to whatever the pipeline was doing (the leaf below
   // charges the open span; this surfaces it as an argument in the explain
@@ -148,14 +141,10 @@ void Target::FlushModelStatsLocked() const {
 }
 
 void Target::RecordRead(size_t len, uint64_t cost) {
-  vl::MetricsRegistry& metrics = vl::MetricsRegistry::Instance();
-  metrics.GetHistogram("dbg.read.bytes")->Record(len);
-  metrics.GetHistogram("dbg.read.latency_ns")->Record(cost);
-  const char* tag = read_tag_ != nullptr ? read_tag_ : "untyped";
-  metrics.GetCounter(std::string("dbg.read.by_type.") + tag)->Add();
-  metrics.GetCounter(std::string("dbg.read.bytes.by_type.") + tag)->Add(len);
-  vl::Tracer::Instance().CompleteEvent("dbg.read", cost,
-                                       {{"bytes", static_cast<int64_t>(len)}});
+  vl::Tracer& tracer = vl::Tracer::Instance();
+  tracer.RecordRead(len, cost);
+  tracer.CountTaggedRead(read_tag_ != nullptr ? read_tag_ : "untyped", len);
+  tracer.CompleteEvent("dbg.read", cost, {{"bytes", static_cast<int64_t>(len)}});
 }
 
 vl::Json TransportStats::ToJson() const {

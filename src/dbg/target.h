@@ -8,9 +8,9 @@
 // that swaps models mid-flight (bench_table4 measures both transports on one
 // target) can still report time per transport. When tracing is enabled
 // (support/trace.h) each read additionally reports its charge to the tracer
-// as a `dbg.read` leaf span and feeds size/latency histograms plus
-// per-struct-type counters; the disabled fast path is one relaxed atomic
-// flag load.
+// as a `dbg.read` leaf span and feeds the tracer's read statistics
+// (size/latency histograms, per-struct-type counts); the disabled fast path
+// is one relaxed atomic flag load.
 
 #ifndef SRC_DBG_TARGET_H_
 #define SRC_DBG_TARGET_H_
@@ -165,11 +165,10 @@ class Target {
   uint64_t reads() const { return reads_.load(std::memory_order_relaxed); }
   uint64_t bytes_read() const { return bytes_read_.load(std::memory_order_relaxed); }
   // Resets this target's clock, totals, dirty-log stats and per-model
-  // attribution, and nothing another owner holds: the process-wide
-  // `dbg.read.*` / `dirty.*` tracing metrics are tracing data, cleared with
-  // the trace (`vctrl trace clear`, MetricsRegistry::Reset). Safe to call
-  // while readers snapshot stats concurrently (they see either pre- or
-  // post-reset values, never a torn map).
+  // attribution, and nothing another owner holds: the tracer's read
+  // statistics are tracing data, cleared with the trace (`vctrl trace
+  // clear`). Safe to call while readers snapshot stats concurrently (they see
+  // either pre- or post-reset values, never a torn map).
   void ResetStats();
 
   // Charges attributed per latency-model name, snapshotted by value so a
@@ -193,7 +192,7 @@ class Target {
 
   // --- read attribution tag (per-struct-type counters when tracing) ---
   // The interpreter tags reads with the kernel type being instantiated; the
-  // tag feeds `dbg.read.by_type.<tag>` counters on the tracing slow path.
+  // tag keys the tracer's per-type read counts on the tracing slow path.
   class TagScope {
    public:
     TagScope(Target* target, const char* tag) : target_(target), prev_(target->read_tag_) {

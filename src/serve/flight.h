@@ -43,7 +43,7 @@
 
 #include "src/support/budget.h"
 #include "src/support/json.h"
-#include "src/support/metrics.h"
+#include "src/support/histogram.h"
 #include "src/support/timeseries.h"
 
 namespace vserve {

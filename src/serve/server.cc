@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "src/support/metrics.h"
 #include "src/support/str.h"
 #include "src/vision/figures.h"
 
@@ -182,6 +181,13 @@ vl::Json Session::StatsToJson() const {
   j["executed"] = vl::Json::Int(static_cast<int64_t>(executed()));
   j["deduped"] = vl::Json::Int(static_cast<int64_t>(deduped()));
   j["rejected"] = vl::Json::Int(static_cast<int64_t>(rejected()));
+  {
+    // Refreshes render under the shard lock.
+    std::lock_guard<std::mutex> shard_lock(shard_->mu);
+    j["render_digest_hits"] = vl::Json::Int(static_cast<int64_t>(panes_.render_digest_hits()));
+    j["render_digest_misses"] =
+        vl::Json::Int(static_cast<int64_t>(panes_.render_digest_misses()));
+  }
   j["flights"] = server_->flights().SessionStats(id_).ToJson();
   return j;
 }
@@ -585,7 +591,7 @@ vl::StatusOr<std::unique_ptr<viewcl::ViewGraph>> Server::ReplotLocked(
     viewcl::Interpreter engine(shard->debugger);
     auto result = engine.RunProgram(program);
     session->last_warnings_ = engine.warnings();
-    session->last_memo_replays_ = engine.memo_replays();
+    session->last_memo_replays_ = engine.walk_stats().memo_replays;
     shard->private_walk += engine.walk_stats();
     return result;
   }
@@ -601,10 +607,10 @@ vl::StatusOr<std::unique_ptr<viewcl::ViewGraph>> Server::ReplotLocked(
   // Load() once, Run() per refresh: the engine's interning and memo
   // snapshots persist across refreshes and across every session plotting
   // this program.
-  uint64_t memo_before = slot->memo_replays();
+  uint64_t memo_before = slot->walk_stats().memo_replays;
   auto result = slot->Run();
   session->last_warnings_ = slot->warnings();
-  session->last_memo_replays_ = slot->memo_replays() - memo_before;
+  session->last_memo_replays_ = slot->walk_stats().memo_replays - memo_before;
   return result;
 }
 
@@ -771,17 +777,35 @@ vl::Json Server::StatsToJson() const {
   j["shard_count"] = vl::Json::Int(static_cast<int64_t>(shards_.size()));
   j["workers"] = vl::Json::Int(static_cast<int64_t>(workers_.size()));
   j["queued"] = vl::Json::Int(static_cast<int64_t>(queue_.size()));
+  j["inflight"] = vl::Json::Int(static_cast<int64_t>(active_));
+  j["paused"] = vl::Json::Bool(paused_);
   vl::Json shards = vl::Json::Object();
   viewcl::WalkStats total_walk;
   analysis::CheckStats total_check;
   for (const auto& shard : shards_) {
+    size_t depth = 0;
+    size_t inflight = 0;
+    for (const Request& request : queue_) {
+      if (request.session->shard_ == shard.get()) {
+        depth++;
+      }
+    }
+    for (const Session* session : sessions_) {
+      if (session->shard_ == shard.get() && session->in_flight_) {
+        inflight++;
+      }
+    }
     vl::Json s = vl::Json::Object();
     s["sessions"] = vl::Json::Int(static_cast<int64_t>(shard->sessions));
+    s["queue_depth"] = vl::Json::Int(static_cast<int64_t>(depth));
+    s["inflight"] = vl::Json::Int(static_cast<int64_t>(inflight));
     {
       std::lock_guard<std::mutex> shard_lock(shard->mu);
       s["extractions"] = vl::Json::Int(static_cast<int64_t>(shard->extractions));
       s["engines"] = vl::Json::Int(static_cast<int64_t>(shard->engines.size()));
       s["control_ns"] = vl::Json::Int(static_cast<int64_t>(shard->control_ns));
+      s["target"] = shard->debugger->target().StatsToJson();
+      s["cache"] = shard->debugger->session().StatsToJson();
       // The walker accounting of the engines that run under the shard lock:
       // the shared per-program engines and the private replots' fresh ones.
       viewcl::WalkStats walk = shard->private_walk;
@@ -798,8 +822,6 @@ vl::Json Server::StatsToJson() const {
       s["dedup_hits"] = vl::Json::Int(static_cast<int64_t>(shard->dedup_hits));
       s["result_cache"] = shard->cache.StatsToJson();
     }
-    s["target_charged_ns"] =
-        vl::Json::Int(static_cast<int64_t>(shard->debugger->target().clock().nanos()));
     s["flights"] = flights_.ShardStats(shard->name).ToJson();
     shards[shard->name] = std::move(s);
   }
@@ -821,68 +843,8 @@ vl::Json Server::StatsToJson() const {
   return j;
 }
 
-void Server::PublishMetrics() const {
-  vl::MetricsRegistry& metrics = vl::MetricsRegistry::Instance();
-  std::lock_guard<std::mutex> lock(mu_);
-  metrics.GetGauge("serve.sessions")->Set(static_cast<int64_t>(sessions_.size()));
-  metrics.GetGauge("serve.queued")->Set(static_cast<int64_t>(queue_.size()));
-  metrics.GetGauge("serve.flights.recorded")
-      ->Set(static_cast<int64_t>(flights_.recorded()));
-  metrics.GetGauge("serve.flights.dropped")
-      ->Set(static_cast<int64_t>(flights_.dropped()));
-  metrics.GetGauge("serve.flights.slo_violations")
-      ->Set(static_cast<int64_t>(flights_.slo_violations()));
-  analysis::CheckStats check;
-  for (const auto& shard : shards_) {
-    const std::string prefix = "serve.shard." + shard->name;
-    metrics.GetGauge(prefix + ".sessions")->Set(static_cast<int64_t>(shard->sessions));
-    size_t depth = 0;
-    size_t inflight = 0;
-    for (const Request& request : queue_) {
-      if (request.session->shard_ == shard.get()) {
-        depth++;
-      }
-    }
-    for (const Session* session : sessions_) {
-      if (session->shard_ == shard.get() && session->in_flight_) {
-        inflight++;
-      }
-    }
-    metrics.GetGauge(prefix + ".queue_depth")->Set(static_cast<int64_t>(depth));
-    metrics.GetGauge(prefix + ".inflight")->Set(static_cast<int64_t>(inflight));
-    {
-      std::lock_guard<std::mutex> shard_lock(shard->mu);
-      metrics.GetGauge(prefix + ".extractions")
-          ->Set(static_cast<int64_t>(shard->extractions));
-      check += shard->check;
-    }
-    {
-      std::lock_guard<std::mutex> cache_lock(shard->cache_mu);
-      metrics.GetGauge(prefix + ".dedup_hits")
-          ->Set(static_cast<int64_t>(shard->dedup_hits));
-    }
-    FlightStats stats = flights_.ShardStats(shard->name);
-    metrics.GetGauge(prefix + ".p99_service_ns")
-        ->Set(static_cast<int64_t>(stats.service_ns.ApproxQuantile(0.99)));
-    metrics.GetGauge(prefix + ".p99_queue_ns")
-        ->Set(static_cast<int64_t>(stats.queue_ns.ApproxQuantile(0.99)));
-  }
-  const vl::Json check_totals = check.ToJson();
-  for (const auto& [name, value] : check_totals.entries()) {
-    metrics.GetGauge("check.fleet." + name)->Set(value.AsInt());
-  }
-  for (const Session* session : sessions_) {
-    const std::string prefix = vl::StrFormat("serve.session.%d", session->id());
-    metrics.GetGauge(prefix + ".charged_ns")
-        ->Set(static_cast<int64_t>(session->charged_ns()));
-    metrics.GetGauge(prefix + ".executed")->Set(static_cast<int64_t>(session->executed()));
-    metrics.GetGauge(prefix + ".deduped")->Set(static_cast<int64_t>(session->deduped()));
-    metrics.GetGauge(prefix + ".rejected")->Set(static_cast<int64_t>(session->rejected()));
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Flight export, fleet snapshot, reset
+// Flight export, reset
 
 vl::Json Server::ExportFlights() const {
   // Phase 1: shard charged-ns snapshot (under the server + shard locks).
@@ -1041,93 +1003,6 @@ vl::Json Server::ExportFlights() const {
   return root;
 }
 
-vl::Json Server::TopJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  vl::Json j = vl::Json::Object();
-  j["sessions"] = vl::Json::Int(static_cast<int64_t>(sessions_.size()));
-  j["queued"] = vl::Json::Int(static_cast<int64_t>(queue_.size()));
-  j["inflight"] = vl::Json::Int(static_cast<int64_t>(active_));
-  j["workers"] = vl::Json::Int(static_cast<int64_t>(workers_.size()));
-  j["paused"] = vl::Json::Bool(paused_);
-  vl::Json shards = vl::Json::Object();
-  for (const auto& shard : shards_) {
-    size_t depth = 0;
-    size_t inflight = 0;
-    for (const Request& request : queue_) {
-      if (request.session->shard_ == shard.get()) {
-        depth++;
-      }
-    }
-    for (const Session* session : sessions_) {
-      if (session->shard_ == shard.get() && session->in_flight_) {
-        inflight++;
-      }
-    }
-    uint64_t extractions = 0;
-    double block_hit_rate = 0.0;
-    {
-      std::lock_guard<std::mutex> shard_lock(shard->mu);
-      extractions = shard->extractions;
-      block_hit_rate = shard->debugger->session().cache_stats().HitRate();
-    }
-    uint64_t dedup_hits = 0;
-    double result_hit_rate = 0.0;
-    {
-      std::lock_guard<std::mutex> cache_lock(shard->cache_mu);
-      dedup_hits = shard->dedup_hits;
-      const ResultCache::Stats& rc = shard->cache.stats();
-      uint64_t lookups = rc.hits + rc.misses;
-      result_hit_rate =
-          lookups > 0 ? static_cast<double>(rc.hits) / static_cast<double>(lookups) : 0.0;
-    }
-    FlightStats stats = flights_.ShardStats(shard->name);
-    uint64_t served = extractions + dedup_hits;
-    vl::Json s = vl::Json::Object();
-    s["sessions"] = vl::Json::Int(static_cast<int64_t>(shard->sessions));
-    s["queue_depth"] = vl::Json::Int(static_cast<int64_t>(depth));
-    s["inflight"] = vl::Json::Int(static_cast<int64_t>(inflight));
-    s["extractions"] = vl::Json::Int(static_cast<int64_t>(extractions));
-    s["dedup_hits"] = vl::Json::Int(static_cast<int64_t>(dedup_hits));
-    s["dedup_ratio"] = vl::Json::Number(
-        served > 0 ? static_cast<double>(dedup_hits) / static_cast<double>(served) : 0.0);
-    s["result_cache_hit_rate"] = vl::Json::Number(result_hit_rate);
-    s["block_cache_hit_rate"] = vl::Json::Number(block_hit_rate);
-    s["p99_queue_ns"] = vl::Json::Number(stats.queue_ns.ApproxQuantile(0.99));
-    s["p99_service_ns"] = vl::Json::Number(stats.service_ns.ApproxQuantile(0.99));
-    shards[shard->name] = std::move(s);
-  }
-  j["shards"] = std::move(shards);
-  return j;
-}
-
-std::string Server::TopText() const {
-  vl::Json top = TopJson();
-  std::string out = vl::StrFormat(
-      "sessions=%lld queued=%lld inflight=%lld workers=%lld%s\n",
-      static_cast<long long>(top.Find("sessions")->AsInt()),
-      static_cast<long long>(top.Find("queued")->AsInt()),
-      static_cast<long long>(top.Find("inflight")->AsInt()),
-      static_cast<long long>(top.Find("workers")->AsInt()),
-      top.Find("paused")->AsBool() ? " PAUSED" : "");
-  out += vl::StrFormat("%-10s %5s %5s %8s %8s %6s %6s %6s %14s %14s\n", "shard", "sess",
-                       "queue", "inflight", "extract", "dedup", "rcache", "bcache",
-                       "p99_queue_ns", "p99_service_ns");
-  const vl::Json* shards = top.Find("shards");
-  for (const auto& [name, s] : shards->entries()) {
-    out += vl::StrFormat(
-        "%-10s %5lld %5lld %8lld %8lld %5.0f%% %5.0f%% %5.0f%% %14.0f %14.0f\n",
-        name.c_str(), static_cast<long long>(s.Find("sessions")->AsInt()),
-        static_cast<long long>(s.Find("queue_depth")->AsInt()),
-        static_cast<long long>(s.Find("inflight")->AsInt()),
-        static_cast<long long>(s.Find("extractions")->AsInt()),
-        s.Find("dedup_ratio")->AsNumber() * 100.0,
-        s.Find("result_cache_hit_rate")->AsNumber() * 100.0,
-        s.Find("block_cache_hit_rate")->AsNumber() * 100.0,
-        s.Find("p99_queue_ns")->AsNumber(), s.Find("p99_service_ns")->AsNumber());
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // vcheck fleet sweep
 
@@ -1259,6 +1134,10 @@ void Server::ResetStats() {
     }
   }
   for (Session* session : sessions_) {
+    {
+      std::lock_guard<std::mutex> shard_lock(session->shard_->mu);
+      session->panes_.ResetRenderDigestStats();
+    }
     session->charged_ns_.store(0, std::memory_order_relaxed);
     session->requests_.store(0, std::memory_order_relaxed);
     session->executed_.store(0, std::memory_order_relaxed);

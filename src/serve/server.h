@@ -252,14 +252,12 @@ class Server {
 
   const ServerConfig& config() const { return config_; }
 
-  // Aggregate + per-shard + per-session stats (the `vctrl stats` "serve"
-  // section and the Prometheus export's source of truth).
+  // The fleet snapshot, the one place every serving count is read from its
+  // owner: aggregate, per-shard (queue, walker, sweep, result cache, the
+  // shard's Target and ReadSession stats, flights) and per-session stats
+  // (docs/observability.md#stats-schema). `vctrl stats json` embeds it as
+  // "fleet"; `vctrl top` and `vctrl export prom` render it.
   vl::Json StatsToJson() const;
-  // Publishes serve.shard.* / serve.session.* / serve.flights.* and the
-  // check.fleet.* sweep totals as gauges to the global MetricsRegistry (not
-  // thread-safe — call from the control plane, drained). `vctrl export prom`
-  // calls this itself (publish-on-export).
-  void PublishMetrics() const;
 
   // --- vcheck fleet sweep (control-plane) ---
   // One shard's slice of a fleet sweep: the check report plus the charge the
@@ -299,11 +297,6 @@ class Server {
   // flow arrows from each dedup-coalesced request to its leader, and metadata
   // reconciling summed flight service_ns against each shard's charged-ns.
   vl::Json ExportFlights() const;
-
-  // Fleet snapshot for `vctrl top`: per-shard queue depth, inflight, dedup
-  // ratio, cache hit rate, p99 service_ns.
-  vl::Json TopJson() const;
-  std::string TopText() const;
 
   // Coherently zeroes serve accounting: drains, then resets per-shard
   // transport stats (Target::ResetStats), extraction/dedup counters, result

@@ -1,9 +1,10 @@
 #include "src/serve/shell.h"
 
+#include <algorithm>
 #include <fstream>
+#include <map>
 
 #include "src/analysis/lint.h"
-#include "src/support/metrics.h"
 #include "src/support/str.h"
 #include "src/support/trace.h"
 #include "src/viewcl/synthesize.h"
@@ -21,6 +22,237 @@ std::pair<std::string, std::string> SplitFirst(std::string_view text) {
   }
   return {std::string(text.substr(0, space)),
           std::string(vl::StrTrim(text.substr(space + 1)))};
+}
+
+// `vctrl top`'s view of a fleet snapshot (Server::StatsToJson): per shard,
+// queue depth, inflight, extractions, dedup ratio, result/block cache hit
+// rates and p99 queue/service ns.
+vl::Json FleetTop(vl::Json fleet) {
+  vl::Json top = vl::Json::Object();
+  for (const char* key : {"sessions", "queued", "inflight", "workers", "paused"}) {
+    top[key] = fleet[key];
+  }
+  vl::Json shards = vl::Json::Object();
+  for (const auto& [name, entry] : fleet["shards"].entries()) {
+    vl::Json s = entry;
+    vl::Json t = vl::Json::Object();
+    for (const char* key : {"sessions", "queue_depth", "inflight", "extractions", "dedup_hits"}) {
+      t[key] = s[key];
+    }
+    double dedup = s["dedup_hits"].AsNumber();
+    double served = s["extractions"].AsNumber() + dedup;
+    t["dedup_ratio"] = vl::Json::Number(served > 0 ? dedup / served : 0.0);
+    double hits = s["result_cache"]["hits"].AsNumber();
+    double lookups = hits + s["result_cache"]["misses"].AsNumber();
+    t["result_cache_hit_rate"] = vl::Json::Number(lookups > 0 ? hits / lookups : 0.0);
+    t["block_cache_hit_rate"] = s["cache"]["hit_rate"];
+    t["p99_queue_ns"] = s["flights"]["queue_ns"]["p99"];
+    t["p99_service_ns"] = s["flights"]["service_ns"]["p99"];
+    shards[name] = std::move(t);
+  }
+  top["shards"] = std::move(shards);
+  return top;
+}
+
+std::string FleetTopText(const vl::Json& fleet) {
+  vl::Json top = FleetTop(fleet);
+  std::string out = vl::StrFormat(
+      "sessions=%lld queued=%lld inflight=%lld workers=%lld%s\n",
+      static_cast<long long>(top["sessions"].AsInt()),
+      static_cast<long long>(top["queued"].AsInt()),
+      static_cast<long long>(top["inflight"].AsInt()),
+      static_cast<long long>(top["workers"].AsInt()), top["paused"].AsBool() ? " PAUSED" : "");
+  out += vl::StrFormat("%-10s %5s %5s %8s %8s %6s %6s %6s %14s %14s\n", "shard", "sess",
+                       "queue", "inflight", "extract", "dedup", "rcache", "bcache",
+                       "p99_queue_ns", "p99_service_ns");
+  for (const auto& [name, entry] : top["shards"].entries()) {
+    vl::Json s = entry;
+    out += vl::StrFormat(
+        "%-10s %5lld %5lld %8lld %8lld %5.0f%% %5.0f%% %5.0f%% %14.0f %14.0f\n",
+        name.c_str(), static_cast<long long>(s["sessions"].AsInt()),
+        static_cast<long long>(s["queue_depth"].AsInt()),
+        static_cast<long long>(s["inflight"].AsInt()),
+        static_cast<long long>(s["extractions"].AsInt()), s["dedup_ratio"].AsNumber() * 100.0,
+        s["result_cache_hit_rate"].AsNumber() * 100.0,
+        s["block_cache_hit_rate"].AsNumber() * 100.0, s["p99_queue_ns"].AsNumber(),
+        s["p99_service_ns"].AsNumber());
+  }
+  return out;
+}
+
+// `key="value"` with the value escaped for the Prometheus text format.
+std::string PromLabel(const char* key, std::string_view value) {
+  std::string out = std::string(key) + "=\"";
+  for (char c : value) {
+    if (c == '\\' || c == '"') {
+      out += '\\';
+    }
+    out += c == '\n' ? std::string("\\n") : std::string(1, c);
+  }
+  return out + "\"";
+}
+
+// A Prometheus text exposition (version 0.0.4) built from JSON stats: every
+// family is typed once and its samples are contiguous, families sorted by
+// name. Names come from the stats schema's keys ([a-z0-9_]); shard, session,
+// model and read-tag names travel only as escaped label values.
+class PromExposition {
+ public:
+  // One sample per number or bool under `value`, in the family named by its
+  // key path (`name`_key_key...). A histogram (Histogram::ToJson's shape)
+  // becomes a cumulative `le` histogram plus gauges for its min, max and
+  // quantiles; a `per_model` map labels its entries by model; strings and
+  // other arrays are not samples.
+  void Add(const std::string& name, const vl::Json& value, const std::string& labels,
+           const char* type = "gauge") {
+    switch (value.kind()) {
+      case vl::Json::Kind::kNumber:
+        Sample(Family(name, type), name, labels, value.Dump());
+        return;
+      case vl::Json::Kind::kBool:
+        Sample(Family(name, type), name, labels, value.AsBool() ? "1" : "0");
+        return;
+      case vl::Json::Kind::kObject:
+        break;
+      default:
+        return;
+    }
+    const vl::Json* buckets = value.Find("buckets");
+    if (buckets != nullptr) {
+      std::string& family = Family(name, "histogram");
+      std::string bucket_labels = labels.empty() ? "" : labels + ",";
+      int64_t cumulative = 0;
+      for (const vl::Json& bucket : buckets->items()) {
+        cumulative += bucket.at(1).AsInt();
+        Sample(family, name + "_bucket", bucket_labels + PromLabel("le", bucket.at(0).Dump()),
+               vl::Json::Int(cumulative).Dump());
+      }
+      Sample(family, name + "_bucket", bucket_labels + PromLabel("le", "+Inf"),
+             value.Find("count")->Dump());
+      Sample(family, name + "_sum", labels, value.Find("sum")->Dump());
+      Sample(family, name + "_count", labels, value.Find("count")->Dump());
+    }
+    for (const auto& [key, child] : value.entries()) {
+      if (buckets != nullptr && (key == "count" || key == "sum")) {
+        continue;
+      }
+      if (key == "per_model") {
+        for (const auto& [model, stats] : child.entries()) {
+          Add(name + "_per_model", stats,
+              (labels.empty() ? "" : labels + ",") + PromLabel("model", model));
+        }
+        continue;
+      }
+      Add(name + "_" + key, child, labels, type);
+    }
+  }
+
+  std::string Render() const {
+    std::string out;
+    for (const auto& [name, family] : families_) {
+      out += "# TYPE " + name + " " + family.first + "\n" + family.second;
+    }
+    return out;
+  }
+
+ private:
+  std::string& Family(const std::string& name, const char* type) {
+    auto& family = families_[name];
+    family.first = type;
+    return family.second;
+  }
+  static void Sample(std::string& family, const std::string& name, const std::string& labels,
+                     const std::string& value) {
+    family += labels.empty() ? name : name + "{" + labels + "}";
+    family += " " + value + "\n";
+  }
+
+  std::map<std::string, std::pair<std::string, std::string>> families_;  // type, samples
+};
+
+// `vctrl export prom`: the fleet snapshot as vl_serve_* gauges (per-shard
+// families labelled by shard, per-session ones by session and shard) plus
+// the tracer's read statistics as vl_dbg_read_* histograms and counters.
+std::string FleetToPrometheus(const vl::Json& fleet, const vl::ReadStats& reads) {
+  PromExposition prom;
+  for (const auto& [key, value] : fleet.entries()) {
+    if (key == "shards") {
+      for (const auto& [name, shard] : value.entries()) {
+        prom.Add("vl_serve_shard", shard, PromLabel("shard", name));
+      }
+    } else if (key == "per_session") {
+      for (const vl::Json& session : value.items()) {
+        std::string labels = PromLabel("session", session.Find("id")->Dump()) + "," +
+                             PromLabel("shard", session.Find("shard")->AsString());
+        for (const auto& [field, stat] : session.entries()) {
+          if (field != "id") {
+            prom.Add("vl_serve_session_" + field, stat, labels);
+          }
+        }
+      }
+    } else {
+      prom.Add("vl_serve_" + key, value, "");
+    }
+  }
+  prom.Add("vl_dbg_read_bytes", reads.bytes.ToJson(), "");
+  prom.Add("vl_dbg_read_latency_ns", reads.latency_ns.ToJson(), "");
+  for (const auto& [tag, counts] : reads.by_tag) {
+    std::string labels = PromLabel("type", tag);
+    prom.Add("vl_dbg_read_by_type_total", vl::Json::Int(static_cast<int64_t>(counts.reads)),
+             labels, "counter");
+    prom.Add("vl_dbg_read_bytes_by_type_total",
+             vl::Json::Int(static_cast<int64_t>(counts.bytes)), labels, "counter");
+  }
+  return prom.Render();
+}
+
+// Sums an attribution subtree's nodes by span name.
+void SumByName(const std::string& name, const vl::TreeNode& node,
+               std::map<std::string, vl::SpanStats>* by_name) {
+  vl::SpanStats& agg = (*by_name)[name];
+  agg.count += node.count;
+  agg.total_ns += node.total_ns;
+  agg.self_ns += node.self_ns;
+  for (const auto& [child_name, child] : node.children) {
+    SumByName(child_name, child, by_name);
+  }
+}
+
+// vprof's flat table: the run's spans summed by name over its attribution
+// subtree, sorted by self time (desc, then name), top `top_n` rows, and a
+// `(total self)` footer. Stores the summed self time in `*total_self`.
+std::string SelfTimeTable(const std::string& root_name, const vl::TreeNode& root,
+                          size_t top_n, uint64_t* total_self) {
+  std::map<std::string, vl::SpanStats> by_name;
+  SumByName(root_name, root, &by_name);
+  *total_self = 0;
+  for (const auto& [name, agg] : by_name) {
+    *total_self += agg.self_ns;
+  }
+  std::vector<std::pair<std::string, vl::SpanStats>> rows(by_name.begin(), by_name.end());
+  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+    if (a.second.self_ns != b.second.self_ns) {
+      return a.second.self_ns > b.second.self_ns;
+    }
+    return a.first < b.first;
+  });
+  if (rows.size() > top_n) {
+    rows.resize(top_n);
+  }
+  std::string out = vl::StrFormat("%-28s %10s %14s %14s %7s\n", "span", "count", "total ms",
+                                  "self ms", "self%");
+  for (const auto& [name, agg] : rows) {
+    double pct = *total_self > 0 ? 100.0 * static_cast<double>(agg.self_ns) /
+                                       static_cast<double>(*total_self)
+                                 : 0.0;
+    out += vl::StrFormat("%-28s %10llu %14.3f %14.3f %6.1f%%\n", name.c_str(),
+                         static_cast<unsigned long long>(agg.count),
+                         static_cast<double>(agg.total_ns) / 1e6,
+                         static_cast<double>(agg.self_ns) / 1e6, pct);
+  }
+  out += vl::StrFormat("%-28s %10s %14s %14.3f %6.1f%%\n", "(total self)", "", "",
+                       static_cast<double>(*total_self) / 1e6, *total_self > 0 ? 100.0 : 0.0);
+  return out;
 }
 
 }  // namespace
@@ -262,8 +494,8 @@ vl::Json DebuggerShell::StatsJson() const {
   jtracer["enabled"] = vl::Json::Bool(tracer.enabled());
   jtracer["recorded"] = vl::Json::Int(static_cast<int64_t>(tracer.recorded()));
   jtracer["dropped"] = vl::Json::Int(static_cast<int64_t>(tracer.dropped()));
+  jtracer["reads"] = tracer.read_stats().ToJson();
   j["tracer"] = std::move(jtracer);
-  j["metrics"] = vl::MetricsRegistry::Instance().ToJson();
   j["serve"] = session_->StatsToJson();
   // The server-wide view: per-shard extraction/dedup counters, control_ns,
   // and the per-shard queue/service/total flight decomposition.
@@ -380,9 +612,18 @@ std::string DebuggerShell::CmdStats(const std::string& args) {
     }
     out += "\n";
   }
-  std::string metrics = vl::MetricsRegistry::Instance().TextReport();
-  if (!metrics.empty()) {
-    out += metrics;
+  const vl::ReadStats& reads = tracer.read_stats();
+  if (reads.bytes.count() > 0) {
+    out += vl::StrFormat(
+        "traced reads: %llu, bytes p50=%.0f p99=%.0f, latency p50=%.0f p99=%.0f ns\n",
+        static_cast<unsigned long long>(reads.bytes.count()), reads.bytes.ApproxQuantile(0.50),
+        reads.bytes.ApproxQuantile(0.99), reads.latency_ns.ApproxQuantile(0.50),
+        reads.latency_ns.ApproxQuantile(0.99));
+    for (const auto& [tag, counts] : reads.by_tag) {
+      out += vl::StrFormat("  %-28s %llu reads, %llu bytes\n", tag.c_str(),
+                           static_cast<unsigned long long>(counts.reads),
+                           static_cast<unsigned long long>(counts.bytes));
+    }
   }
   return out;
 }
@@ -400,7 +641,6 @@ std::string DebuggerShell::CmdTrace(const std::string& args) {
   }
   if (verb == "clear") {
     tracer.Clear();
-    vl::MetricsRegistry::Instance().Reset();
     return "trace cleared\n";
   }
   if (verb == "dump") {
@@ -426,15 +666,15 @@ std::string DebuggerShell::CmdExplain(const std::string& args) {
     return "usage: vctrl explain <pane> [json]\n";
   }
 
-  // Fresh tree-mode trace around one full refresh: afterwards the tree's
+  // A fresh attribution tree around one full refresh: afterwards the tree's
   // root totals partition the refresh's clock delta exactly (the vprof
-  // reconciliation invariant, extended to per-node attribution). This
-  // deliberately calls RefreshPane directly (not Session::Refresh): the
+  // reconciliation invariant, extended to per-node attribution). Enabling
+  // tree mode resets only the tree, so the user's trace keeps its spans.
+  // This deliberately calls RefreshPane directly (not Session::Refresh): the
   // serve dedup path could satisfy the refresh from cache, which would
   // attribute nothing.
   vl::Tracer& tracer = vl::Tracer::Instance();
   bool was_enabled = tracer.enabled();
-  tracer.Clear();
   tracer.SetTreeEnabled(true);
   tracer.Enable();
   uint64_t clock_before = dbg()->target().clock().nanos();
@@ -600,11 +840,8 @@ std::string DebuggerShell::CmdExport(const std::string& args) {
   auto [format, path] = SplitFirst(args);
   std::string content;
   if (format == "prom") {
-    // Publish-on-export: the serve gauges are refreshed right here, so the
-    // exposition always carries current vl_serve_* values without the caller
-    // having to remember Server::PublishMetrics().
-    session_->server()->PublishMetrics();
-    content = vl::MetricsRegistry::Instance().ToPrometheus();
+    content = FleetToPrometheus(session_->server()->StatsToJson(),
+                                vl::Tracer::Instance().read_stats());
   } else if (format == "folded") {
     content = vl::Tracer::Instance().ToFolded();
   } else if (format == "chrome") {
@@ -660,10 +897,11 @@ std::string DebuggerShell::CmdFlights(const std::string& args) {
 }
 
 std::string DebuggerShell::CmdTop(const std::string& args) {
+  vl::Json fleet = session_->server()->StatsToJson();
   if (vl::StrTrim(args) == "json") {
-    return session_->server()->TopJson().Dump(2) + "\n";
+    return FleetTop(std::move(fleet)).Dump(2) + "\n";
   }
-  return session_->server()->TopText();
+  return FleetTopText(fleet);
 }
 
 // vctrl slo set queue|service|total <ns> | report [json] | clear — fleet SLO
@@ -702,9 +940,12 @@ std::string DebuggerShell::CmdVprof(const std::string& args) {
   if (!vl::ParseInt64(pane_text, &pane_id) || program.empty()) {
     return "usage: vprof <pane> <viewcl program>\n";
   }
+  // The breakdown is read from the `vprof` root's attribution subtree.
+  // Enabling tree mode resets only the tree, so the user's trace keeps its
+  // spans and gains the run's.
   vl::Tracer& tracer = vl::Tracer::Instance();
   bool was_enabled = tracer.enabled();
-  tracer.Clear();
+  tracer.SetTreeEnabled(true);
   tracer.Enable();
 
   // Reports the clock delta across the root span and leaves the clock alone:
@@ -714,7 +955,7 @@ std::string DebuggerShell::CmdVprof(const std::string& args) {
   size_t boxes = 0;
   {
     // Everything inside this root span: after it closes, the self times of
-    // all spans sum exactly to its duration — the target clock delta.
+    // its subtree sum exactly to its duration — the target clock delta.
     vl::ScopedSpan root("vprof");
     auto graph = session_->RunProgram(program);
     if (!graph.ok()) {
@@ -728,6 +969,7 @@ std::string DebuggerShell::CmdVprof(const std::string& args) {
       }
     }
   }
+  tracer.SetTreeEnabled(false);  // freeze the tree for the breakdown below
   if (!was_enabled) {
     tracer.Disable();
   }
@@ -736,10 +978,13 @@ std::string DebuggerShell::CmdVprof(const std::string& args) {
   }
 
   uint64_t clock_ns = dbg()->target().clock().nanos() - clock_before;
-  uint64_t self_ns = tracer.TotalSelfNanos();
+  auto root = tracer.tree_root().children.find("vprof");
+  uint64_t self_ns = 0;
   std::string out = vl::StrFormat("vprof pane %d: %zu boxes\n",
                                   static_cast<int>(pane_id), boxes);
-  out += tracer.TextReport(10);
+  out += SelfTimeTable("vprof",
+                       root != tracer.tree_root().children.end() ? root->second : vl::TreeNode{},
+                       10, &self_ns);
   out += vl::StrFormat("clock: %llu virtual ns, trace self total: %llu ns%s\n",
                        static_cast<unsigned long long>(clock_ns),
                        static_cast<unsigned long long>(self_ns),

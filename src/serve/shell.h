@@ -50,8 +50,8 @@ class DebuggerShell {
   //   vctrl top [json]                      fleet snapshot (queues, dedup, p99)
   //   vctrl slo set|report|clear            queue/service/total SLO ceilings
   //   vctrl export prom|folded|chrome|flights [path]  standard exporters
-  //     (prom publishes serve gauges itself; chrome merges flight tracks +
-  //      dedup flow arrows into the span trace)
+  //     (prom renders the fleet snapshot and the tracer's read statistics;
+  //      chrome merges flight tracks + dedup flow arrows into the span trace)
   //   vprof <pane> <viewcl program...>      traced run + self-time breakdown
   //   vchat <pane> <natural language...>    synthesize + apply ViewQL
   //   help
@@ -71,8 +71,8 @@ class DebuggerShell {
   std::string CmdVchat(const std::string& args);
   std::string CmdVprof(const std::string& args);
   std::string CmdStats(const std::string& args);
-  // The merged stats object: {"target", "cache", "panes", "tracer",
-  // "metrics", "serve", "fleet", "check"} — one place for every stats shape
+  // The merged stats object: {"target", "cache", "panes", "tracer", "serve",
+  // "fleet", "check"} — one place for every stats shape
   // (docs/observability.md#stats-schema).
   vl::Json StatsJson() const;
   std::string CmdTrace(const std::string& args);

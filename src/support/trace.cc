@@ -106,6 +106,30 @@ void Tracer::Annotate(const char* key, int64_t delta) {
   stack_.back().args[key] += delta;
 }
 
+void Tracer::CountTaggedRead(std::string_view tag, uint64_t bytes) {
+  auto it = reads_.by_tag.find(tag);
+  if (it == reads_.by_tag.end()) {
+    it = reads_.by_tag.emplace(std::string(tag), ReadStats::Tagged{}).first;
+  }
+  it->second.reads++;
+  it->second.bytes += bytes;
+}
+
+Json ReadStats::ToJson() const {
+  Json j = Json::Object();
+  j["bytes"] = bytes.ToJson();
+  j["latency_ns"] = latency_ns.ToJson();
+  Json tags = Json::Object();
+  for (const auto& [tag, counts] : by_tag) {
+    Json t = Json::Object();
+    t["reads"] = Json::Int(static_cast<int64_t>(counts.reads));
+    t["bytes"] = Json::Int(static_cast<int64_t>(counts.bytes));
+    tags[tag] = std::move(t);
+  }
+  j["by_type"] = std::move(tags);
+  return j;
+}
+
 void Tracer::Push(TraceEvent event) {
   if (ring_.size() < capacity_) {
     ring_.push_back(std::move(event));
@@ -124,6 +148,7 @@ void Tracer::Clear() {
   seq_ = 0;
   now_ns_ = 0;
   stats_.clear();
+  reads_ = ReadStats{};
   ResetTree();
 }
 
@@ -348,35 +373,6 @@ std::string Tracer::ToFolded() const {
     out += path;
     out += StrFormat(" %llu\n", static_cast<unsigned long long>(self_ns));
   }
-  return out;
-}
-
-std::string Tracer::TextReport(size_t top_n) const {
-  // Sort by self time (desc), then name for a deterministic total order.
-  std::vector<std::pair<std::string, SpanStats>> rows(stats_.begin(), stats_.end());
-  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    if (a.second.self_ns != b.second.self_ns) {
-      return a.second.self_ns > b.second.self_ns;
-    }
-    return a.first < b.first;
-  });
-  if (top_n > 0 && rows.size() > top_n) {
-    rows.resize(top_n);
-  }
-  uint64_t total_self = TotalSelfNanos();
-  std::string out = StrFormat("%-28s %10s %14s %14s %7s\n", "span", "count", "total ms",
-                              "self ms", "self%");
-  for (const auto& [name, agg] : rows) {
-    double pct = total_self > 0
-                     ? 100.0 * static_cast<double>(agg.self_ns) / static_cast<double>(total_self)
-                     : 0.0;
-    out += StrFormat("%-28s %10llu %14.3f %14.3f %6.1f%%\n", name.c_str(),
-                     static_cast<unsigned long long>(agg.count),
-                     static_cast<double>(agg.total_ns) / 1e6,
-                     static_cast<double>(agg.self_ns) / 1e6, pct);
-  }
-  out += StrFormat("%-28s %10s %14s %14.3f %6.1f%%\n", "(total self)", "", "",
-                   static_cast<double>(total_self) / 1e6, total_self > 0 ? 100.0 : 0.0);
   return out;
 }
 

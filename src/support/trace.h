@@ -9,8 +9,8 @@
 // charged, and two identical runs produce byte-identical traces. Completed
 // spans land in a bounded ring buffer (oldest evicted first); per-name
 // aggregates (count, total, self time) are kept separately and never
-// evicted, which is what the `vprof` self-time breakdown and the text report
-// consume.
+// evicted. The tracer also owns the read statistics that exist only while
+// tracing: read-size and latency histograms and per-tag read counts.
 //
 // The fast path when tracing is off is a single relaxed atomic flag load:
 //
@@ -19,19 +19,22 @@
 // Self time is computed at record time: every open span accumulates the
 // duration of its direct children, and EndSpan charges `dur - children` to the
 // span's own name. Summed over all spans, self times exactly partition the
-// root spans' durations — which is how `vprof` reconciles its breakdown
-// against Target::clock() to the nanosecond.
+// root spans' durations — which is how `vprof` and `vctrl explain` reconcile
+// their attribution trees against Target::clock() to the nanosecond.
 
 #ifndef SRC_SUPPORT_TRACE_H_
 #define SRC_SUPPORT_TRACE_H_
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "src/support/histogram.h"
 #include "src/support/json.h"
 
 namespace vl {
@@ -68,6 +71,23 @@ struct TreeNode {
   std::map<std::string, TreeNode> children;
 };
 
+// Reads recorded while tracing (dbg::Target's slow path). A vectored batch
+// is one read in the histograms; its spans count under their own tags.
+// Cleared with the trace (Tracer::Clear), never by a per-object reset.
+struct ReadStats {
+  struct Tagged {
+    uint64_t reads = 0;
+    uint64_t bytes = 0;
+  };
+  Histogram bytes;       // bytes per read
+  Histogram latency_ns;  // virtual charge per read
+  std::map<std::string, Tagged, std::less<>> by_tag;
+
+  // {"bytes": histogram, "latency_ns": histogram,
+  //  "by_type": {tag: {"reads", "bytes"}}} (histograms as Histogram::ToJson).
+  Json ToJson() const;
+};
+
 class Tracer {
  public:
   static Tracer& Instance();
@@ -97,10 +117,17 @@ class Tracer {
   // no-op with no open span). ReadSession uses this to attribute cache
   // hit/miss bytes to whatever the pipeline was doing at the time.
   void Annotate(const char* key, int64_t delta);
+  // Read statistics: one read of `bytes` that charged `latency_ns`, and the
+  // bytes of one span read under `tag`.
+  void RecordRead(uint64_t bytes, uint64_t latency_ns) {
+    reads_.bytes.Record(bytes);
+    reads_.latency_ns.Record(latency_ns);
+  }
+  void CountTaggedRead(std::string_view tag, uint64_t bytes);
 
-  // Drops all events, aggregates, open spans, and the attribution tree;
-  // resets the sequence counter and the virtual time. Does not touch the
-  // enabled flag or tree mode.
+  // Drops all events, aggregates, read statistics, open spans, and the
+  // attribution tree; resets the sequence counter and the virtual time. Does
+  // not touch the enabled flag or tree mode.
   void Clear();
   // Resizes the ring. The newest min(buffered, capacity) events survive in
   // order; events shed by a shrink count toward dropped().
@@ -110,7 +137,9 @@ class Tracer {
   // While tree mode is on, every recorded span/leaf also merges into a
   // calling-context tree keyed by the span-name path. Enabling resets the
   // tree; disabling freezes it for inspection. Toggle only while no spans
-  // are open (e.g. right after Clear()) or paths will misattribute.
+  // are open (e.g. right after Clear()) or paths will misattribute. The
+  // ring, the per-name aggregates and the read statistics are left alone, so
+  // a command can attribute its own run without dropping the user's trace.
   void SetTreeEnabled(bool on);
   bool tree_enabled() const { return tree_enabled_; }
   const TreeNode& tree_root() const { return tree_root_; }
@@ -128,6 +157,7 @@ class Tracer {
   // Buffered events, oldest first.
   std::vector<TraceEvent> Snapshot() const;
   const std::map<std::string, SpanStats>& stats() const { return stats_; }
+  const ReadStats& read_stats() const { return reads_; }
   // Sum of self times across all completed spans == sum of root durations.
   uint64_t TotalSelfNanos() const;
 
@@ -136,8 +166,6 @@ class Tracer {
   // virtual nanoseconds recorded since the last Clear(), emitted as integer
   // `ts`/`dur` fields.
   Json ToChromeJson() const;
-  // Flat per-name table sorted by self time, top `top_n` rows (0 = all).
-  std::string TextReport(size_t top_n = 0) const;
   // Folded-stack flamegraph lines ("root;child;leaf self_ns\n", sorted) from
   // the buffered ring. Stacks are reconstructed from begin order + depth;
   // ancestors evicted from the ring appear as "?" frames.
@@ -168,6 +196,7 @@ class Tracer {
   uint64_t dropped_ = 0;
   uint64_t seq_ = 0;
   std::map<std::string, SpanStats> stats_;
+  ReadStats reads_;
   bool tree_enabled_ = false;
   TreeNode tree_root_;
   // Mirrors stack_ while tree mode is on; front is always &tree_root_.

@@ -8,7 +8,6 @@
 #include <tuple>
 #include <unordered_set>
 
-#include "src/support/metrics.h"
 #include "src/support/str.h"
 #include "src/support/trace.h"
 #include "src/viewcl/parser.h"
@@ -176,7 +175,8 @@ constexpr std::pair<const char*, uint64_t WalkStats::*> kWalkFields[] = {
     {"runs", &WalkStats::runs},       {"levels", &WalkStats::levels},
     {"batches", &WalkStats::batches}, {"tasks", &WalkStats::tasks},
     {"retries", &WalkStats::retries}, {"unbatched_reads", &WalkStats::unbatched_reads},
-    {"fallbacks", &WalkStats::fallbacks},
+    {"fallbacks", &WalkStats::fallbacks}, {"memo_replays", &WalkStats::memo_replays},
+    {"memo_misses", &WalkStats::memo_misses},
 };
 
 }  // namespace
@@ -261,19 +261,8 @@ class Interpreter::RunState {
         in_->memo_.erase(key);
       }
     }
-    in_->memo_replays_ += replays_;
-    in_->memo_misses_ += misses_;
-    if (vl::Tracer::Instance().enabled()) {
-      vl::MetricsRegistry& metrics = vl::MetricsRegistry::Instance();
-      if (replays_ != 0) {
-        metrics.GetCounter("viewcl.memo.replays")->Add(replays_);
-      }
-      if (misses_ != 0) {
-        metrics.GetCounter("viewcl.memo.misses")->Add(misses_);
-      }
-      metrics.GetCounter("graph.nodes")->Add(out_->size());
-      metrics.GetCounter("graph.bytes")->Add(out_->TotalObjectBytes());
-    }
+    in_->walk_stats_.memo_replays += replays_;
+    in_->walk_stats_.memo_misses += misses_;
     return std::move(out_);
   }
 

@@ -42,7 +42,7 @@ struct InterpLimits {
   bool intern_boxes = true;
 };
 
-// The batched walker's accounting, summed over Run() calls
+// The walker's accounting, summed over Run() calls
 // (docs/observability.md#stats-schema).
 struct WalkStats {
   uint64_t runs = 0;       // Run() calls that took the batched walk
@@ -54,10 +54,14 @@ struct WalkStats {
   // blocks, reads of the recursive fallback). The walk's blind spot.
   uint64_t unbatched_reads = 0;
   uint64_t fallbacks = 0;  // runs that fell back to the recursive walk
+  // Memoized box subtrees replayed vs re-extracted, on either walk
+  // (docs/caching.md#incremental).
+  uint64_t memo_replays = 0;
+  uint64_t memo_misses = 0;
 
   WalkStats& operator+=(const WalkStats& other);
   // {"runs", "levels", "batches", "tasks", "retries", "unbatched_reads",
-  //  "fallbacks"}
+  //  "fallbacks", "memo_replays", "memo_misses"}
   vl::Json ToJson() const;
 };
 
@@ -95,12 +99,8 @@ class Interpreter {
   EmojiRegistry& emoji() { return emoji_; }
   dbg::KernelDebugger* debugger() { return debugger_; }
 
-  // Memoization counters (how many boxes were replayed vs re-extracted
-  // across this interpreter's lifetime; see docs/caching.md#incremental).
-  uint64_t memo_replays() const { return memo_replays_; }
-  uint64_t memo_misses() const { return memo_misses_; }
-
-  // The batched walker's accounting across this interpreter's lifetime.
+  // The walker's accounting (batches, memo replays) since construction or
+  // the last ResetWalkStats().
   const WalkStats& walk_stats() const { return walk_stats_; }
   void ResetWalkStats() { walk_stats_ = WalkStats{}; }
 
@@ -165,8 +165,6 @@ class Interpreter {
   // Memo store, persisted across Run() calls (cleared on Load: a new chunk
   // can redefine declarations out from under the snapshots).
   std::map<BoxMemo::InternKey, BoxMemo> memo_;
-  uint64_t memo_replays_ = 0;
-  uint64_t memo_misses_ = 0;
 
   // Per-interpreter caches keyed by AST node (the nodes live as long as the
   // interpreter); the serving layer runs an engine under its shard lock.

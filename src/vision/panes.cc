@@ -1,6 +1,5 @@
 #include "src/vision/panes.h"
 
-#include "src/support/metrics.h"
 #include "src/support/str.h"
 #include "src/support/trace.h"
 
@@ -435,11 +434,6 @@ std::string PaneManager::RenderPane(int pane_id, const RenderOptions& options,
     ++render_digest_hits_;
   } else {
     ++render_digest_misses_;
-  }
-  if (vl::Tracer::Instance().enabled()) {
-    vl::MetricsRegistry::Instance()
-        .GetCounter(reused ? "render.digest.hits" : "render.digest.misses")
-        ->Add(1);
   }
   // The disabled cost of the watch hook is this one branch (bench_micro
   // guards it alongside the tracing-off fast path).

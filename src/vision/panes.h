@@ -116,9 +116,11 @@ class PaneManager {
   // the re-render entirely.
   std::string RenderPane(int pane_id, const RenderOptions& options = RenderOptions{},
                          std::string_view backend = "ascii");
-  // How many RenderPane calls were served from the digest cache vs rendered.
+  // How many RenderPane calls were served from the digest cache vs rendered,
+  // since construction or the last ResetRenderDigestStats().
   uint64_t render_digest_hits() const { return render_digest_hits_; }
   uint64_t render_digest_misses() const { return render_digest_misses_; }
+  void ResetRenderDigestStats() { render_digest_hits_ = render_digest_misses_ = 0; }
   // Master switch for the digest cache (vserve::SessionOptions::render_cache
   // consolidates this with the extraction-cache config). Disabling re-renders
   // every call; existing cached entries are kept but not consulted.

@@ -528,7 +528,9 @@ TEST(CheckShellTest, VctrlCheckAndStatsSurfaceSweeps) {
   std::string stats = shell.Execute("vctrl stats");
   EXPECT_NE(stats.find("check:"), std::string::npos) << stats;
   std::string prom = shell.Execute("vctrl export prom");
-  EXPECT_NE(prom.find("vl_check_fleet_sweeps"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("\nvl_serve_check_sweeps "), std::string::npos) << prom;
+  EXPECT_NE(prom.find("\nvl_serve_shard_check_sweeps{shard=\"main\"} "), std::string::npos)
+      << prom;
 }
 
 // vprof profiles from span stats alone: the sweep stats `vctrl stats`
@@ -548,8 +550,8 @@ TEST(CheckShellTest, VprofKeepsCheckCounters) {
   EXPECT_NE(stats.find("check: 1 sweep(s)"), std::string::npos) << stats;
 }
 
-// Sweep stats are not tracing data: `vctrl trace clear` empties the metrics
-// registry, yet `vctrl stats` and the fleet gauges still count the sweep.
+// Sweep stats are not tracing data: `vctrl trace clear` empties the trace,
+// yet `vctrl stats` and the fleet gauges still count the sweep.
 TEST(CheckShellTest, TraceClearKeepsSweepStats) {
   vserve::Server server;
   ASSERT_TRUE(server.BootShard("main").ok());
@@ -562,7 +564,7 @@ TEST(CheckShellTest, TraceClearKeepsSweepStats) {
   std::string stats = shell.Execute("vctrl stats");
   EXPECT_NE(stats.find("check: 1 sweep(s)"), std::string::npos) << stats;
   std::string prom = shell.Execute("vctrl export prom");
-  EXPECT_NE(prom.find("vl_check_fleet_sweeps 1"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("\nvl_serve_check_sweeps 1\n"), std::string::npos) << prom;
 }
 
 }  // namespace

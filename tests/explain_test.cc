@@ -16,7 +16,6 @@
 #include "src/dbg/kernel_introspect.h"
 #include "src/support/budget.h"
 #include "src/support/json.h"
-#include "src/support/metrics.h"
 #include "src/support/str.h"
 #include "src/support/timeseries.h"
 #include "src/support/trace.h"
@@ -34,7 +33,6 @@ void Quiesce() {
   tracer.SetTreeEnabled(false);
   tracer.Clear();
   tracer.SetCapacity(1 << 16);
-  MetricsRegistry::Instance().Reset();
 }
 
 // --- TimeSeriesRecorder unit tests ---
@@ -170,13 +168,11 @@ class ExplainTest : public vltest::WorkloadKernelTest {
   }
 
   // Resets everything a refresh's cost depends on: clock/read stats, the
-  // block cache, the trace ring, the metrics registry, and the serve-layer
-  // counters/flight ring (`vctrl export prom` publishes those on export, so
-  // they must restart too). After this, two identical refreshes are
-  // byte-identical.
+  // block cache, the trace ring and its read statistics, and the serve-layer
+  // counters/flight ring (`vctrl export prom` renders those too, so they
+  // must restart). After this, two identical refreshes are byte-identical.
   void ColdState() {
     Tracer::Instance().Clear();
-    MetricsRegistry::Instance().Reset();
     shell_->session().server()->ResetStats();
     debugger_->target().ResetStats();
     debugger_->session().InvalidateAll();
@@ -264,6 +260,34 @@ TEST_F(ExplainTest, BudgetArmedRefreshKeepsTheSpansTracedBeforeIt) {
   EXPECT_EQ(tracer.stats().count("viewcl.parse"), 1u);
   EXPECT_TRUE(tracer.enabled());
   EXPECT_FALSE(tracer.tree_enabled());
+  shell_->Execute("vctrl trace off");
+}
+
+// `vctrl explain` attributes its refresh in tree mode without clearing the
+// trace: the spans traced before it stay, and a failed explain leaves the
+// trace as it was.
+TEST_F(ExplainTest, ExplainKeepsTheUsersTrace) {
+  Tracer& tracer = Tracer::Instance();
+  ASSERT_EQ(shell_->Execute("vctrl trace on"), "tracing on\n");
+  Plot(1, "fig7_1");  // the shard engine parses the program here, once
+  const size_t traced = tracer.Snapshot().size();
+  ASSERT_GT(traced, 0u);
+  ASSERT_EQ(tracer.stats().count("viewcl.parse"), 1u);
+
+  std::string out = shell_->Execute("vctrl explain 1");
+  EXPECT_NE(out.find("(exact)"), std::string::npos) << out;
+  EXPECT_EQ(out.find("viewcl.parse"), std::string::npos) << out;  // the refresh's tree only
+  EXPECT_GT(tracer.Snapshot().size(), traced);
+  EXPECT_EQ(tracer.stats().count("viewcl.parse"), 1u);
+  EXPECT_TRUE(tracer.enabled());
+  EXPECT_FALSE(tracer.tree_enabled());
+
+  const size_t kept = tracer.Snapshot().size();
+  const uint64_t now = tracer.NowNanos();
+  EXPECT_EQ(shell_->Execute("vctrl explain 2").rfind("error", 0), 0u);
+  EXPECT_EQ(tracer.Snapshot().size(), kept);
+  EXPECT_EQ(tracer.NowNanos(), now);
+  EXPECT_EQ(tracer.stats().count("viewcl.parse"), 1u);
   shell_->Execute("vctrl trace off");
 }
 
@@ -454,9 +478,10 @@ TEST_F(ExplainTest, PrometheusExportIsWellFormed) {
   shell_->Execute("vctrl trace off");
   std::string prom = shell_->Execute("vctrl export prom");
 
-  // Counters: sanitized name, `_total` suffix, TYPE line.
-  EXPECT_NE(prom.find("# TYPE vl_dbg_read_by_type_task_struct_total counter"),
-            std::string::npos)
+  // Counters: `_total` suffix, TYPE line, the read tag as a label.
+  EXPECT_NE(prom.find("# TYPE vl_dbg_read_by_type_total counter"), std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("vl_dbg_read_by_type_total{type=\"task_struct\"} "), std::string::npos)
       << prom;
   // Histograms: TYPE line, `le` buckets closed by +Inf, then _sum and _count.
   EXPECT_NE(prom.find("# TYPE vl_dbg_read_bytes histogram"), std::string::npos);

@@ -14,7 +14,6 @@
 #include "src/serve/options.h"
 #include "src/serve/server.h"
 #include "src/serve/shell.h"
-#include "src/support/metrics.h"
 #include "src/vision/figures.h"
 
 namespace vserve {
@@ -453,7 +452,6 @@ TEST_F(FlightTest, VprofKeepsShardReconciled) {
 }
 
 TEST_F(FlightTest, PromExportPublishesServeGaugesItself) {
-  vl::MetricsRegistry::Instance().Reset();
   Server server;
   Boot(server);
   auto client = server.Connect();
@@ -463,11 +461,16 @@ TEST_F(FlightTest, PromExportPublishesServeGaugesItself) {
             std::string::npos);
   shell.Execute("vctrl refresh 1");
 
-  // No manual PublishMetrics(): the exporter snapshots the serve layer.
+  // The exporter renders a fresh fleet snapshot; nothing is published first.
   std::string prom = shell.Execute("vctrl export prom");
-  EXPECT_NE(prom.find("vl_serve_flights_recorded"), std::string::npos);
-  EXPECT_NE(prom.find("vl_serve_shard_k0_queue_depth"), std::string::npos);
-  EXPECT_NE(prom.find("vl_serve_shard_k0_p99_service_ns"), std::string::npos);
+  EXPECT_NE(prom.find("\nvl_serve_flights_recorded 1\n"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("\nvl_serve_shard_queue_depth{shard=\"k0\"} 0\n"), std::string::npos);
+  EXPECT_NE(prom.find("\nvl_serve_shard_flights_service_ns_p99{shard=\"k0\"} "),
+            std::string::npos);
+  EXPECT_NE(prom.find("# TYPE vl_serve_shard_flights_service_ns histogram\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("\nvl_serve_shard_flights_service_ns_bucket{shard=\"k0\",le=\"+Inf\"} 1\n"),
+            std::string::npos);
 }
 
 TEST_F(FlightTest, FlightsAndTopCommands) {

@@ -21,7 +21,6 @@
 #include "src/dbg/read_session.h"
 #include "src/dbg/target.h"
 #include "src/serve/server.h"
-#include "src/support/metrics.h"
 #include "src/support/rng.h"
 #include "src/support/trace.h"
 #include "src/viewcl/interp.h"
@@ -582,9 +581,8 @@ TEST(DeltaRefreshTest, RefreshIsChargedToTheCacheNotTheReader) {
   Target target(&memory, LatencyModel::Free());
   ReadSession session(&target, CacheConfig::Incremental());
   vl::Tracer& tracer = vl::Tracer::Instance();
-  vl::MetricsRegistry& metrics = vl::MetricsRegistry::Instance();
+  tracer.Clear();
   tracer.Enable();
-  metrics.Reset();
   {
     ReadSession::TagScope tag(&session, "task_struct");
     ASSERT_TRUE(session.ReadUnsigned(0, 8).ok());
@@ -592,11 +590,13 @@ TEST(DeltaRefreshTest, RefreshIsChargedToTheCacheNotTheReader) {
     ASSERT_TRUE(session.ReadUnsigned(0, 8).ok());  // notices the epoch change
   }
   tracer.Disable();
-  EXPECT_EQ(metrics.GetCounter("dbg.read.by_type.task_struct")->value(), 1u);
-  EXPECT_EQ(metrics.GetCounter("dbg.read.by_type.cache.refresh")->value(), 1u);
-  EXPECT_EQ(metrics.GetCounter("dbg.read.bytes.by_type.cache.refresh")->value(),
-            session.config().block_bytes);
-  metrics.Reset();
+  const auto& by_tag = tracer.read_stats().by_tag;
+  ASSERT_EQ(by_tag.count("task_struct"), 1u);
+  ASSERT_EQ(by_tag.count("cache.refresh"), 1u);
+  EXPECT_EQ(by_tag.find("task_struct")->second.reads, 1u);
+  EXPECT_EQ(by_tag.find("cache.refresh")->second.reads, 1u);
+  EXPECT_EQ(by_tag.find("cache.refresh")->second.bytes, session.config().block_bytes);
+  tracer.Clear();
 }
 
 TEST(DeltaRefreshTest, UnreadRefreshedBlockIsReadAtMostOnce) {
@@ -771,13 +771,13 @@ TEST_F(IncrementalKernelTest, MemoReplaysCleanSubtreesOnRefresh) {
   ASSERT_TRUE(interp.Load(figure->viewcl).ok());
   auto first = interp.Run();
   ASSERT_TRUE(first.ok());
-  EXPECT_EQ(interp.memo_replays(), 0u);
-  EXPECT_GT(interp.memo_misses(), 0u);
+  EXPECT_EQ(interp.walk_stats().memo_replays, 0u);
+  EXPECT_GT(interp.walk_stats().memo_misses, 0u);
 
   // Nothing mutated: the whole graph replays from memo snapshots.
   auto second = interp.Run();
   ASSERT_TRUE(second.ok());
-  EXPECT_GT(interp.memo_replays(), 0u);
+  EXPECT_GT(interp.walk_stats().memo_replays, 0u);
   vision::AsciiRenderer renderer;
   EXPECT_EQ(renderer.Render(**first), renderer.Render(**second));
 }

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "src/dbg/kernel_introspect.h"
-#include "src/support/metrics.h"
 #include "src/support/trace.h"
 #include "src/viewcl/interp.h"
 #include "src/viewcl/lexer.h"
@@ -467,21 +466,30 @@ TEST_F(LintTest, FailFastLoadValidatorRefusesBadChunks) {
 }
 
 // ---------------------------------------------------------------------------
-// Observability: vlint span + lint.* counters under tracing.
+// Observability: the vlint span and its diagnostic-count annotations,
+// recorded only under tracing.
 // ---------------------------------------------------------------------------
 
 TEST_F(LintTest, CountersBumpOnlyWhenTracing) {
-  vl::MetricsRegistry& metrics = vl::MetricsRegistry::Instance();
-  uint64_t programs_before = metrics.GetCounter("lint.programs")->value();
+  vl::Tracer& tracer = vl::Tracer::Instance();
+  tracer.Clear();
   linter_->LintViewCl("define T as Box<task_struct> [ Text pid ]\nplot T(${&init_task})");
-  EXPECT_EQ(metrics.GetCounter("lint.programs")->value(), programs_before);
+  EXPECT_EQ(tracer.stats().count("vlint"), 0u);
+  EXPECT_TRUE(tracer.Snapshot().empty());
 
-  vl::Tracer::Instance().Enable();
-  uint64_t errors_before = metrics.GetCounter("lint.diagnostics.error")->value();
+  tracer.Enable();
   linter_->LintViewCl("define T as Box<task_struct> [ Text pidd ]\nplot T(${&init_task})");
-  vl::Tracer::Instance().Disable();
-  EXPECT_EQ(metrics.GetCounter("lint.programs")->value(), programs_before + 1);
-  EXPECT_GT(metrics.GetCounter("lint.diagnostics.error")->value(), errors_before);
+  tracer.Disable();
+  ASSERT_EQ(tracer.stats().count("vlint"), 1u);
+  EXPECT_EQ(tracer.stats().at("vlint").count, 1u);
+  std::vector<vl::TraceEvent> events = tracer.Snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "vlint");
+  std::map<std::string, int64_t> args(events[0].args.begin(), events[0].args.end());
+  EXPECT_GT(args["lint.errors"], 0);
+  EXPECT_EQ(args.count("lint.warnings"), 1u);
+  EXPECT_EQ(args.count("lint.notes"), 1u);
+  tracer.Clear();
 }
 
 // ---------------------------------------------------------------------------

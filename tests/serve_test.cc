@@ -3,13 +3,18 @@
 // isolation, byte-identical renders vs a raw reference session, private-engine
 // sessions replotting from scratch, admission control, shard routing,
 // cache-config sharing, the async scheduler (two shards refreshing at once on
-// the worker pool), the shell on a session, and the Target stats snapshot
-// race fixed alongside this layer.
+// the worker pool), the shell on a session, the Prometheus export of the
+// fleet snapshot, and the Target stats snapshot race fixed alongside this
+// layer.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,7 +23,6 @@
 #include "src/serve/options.h"
 #include "src/serve/server.h"
 #include "src/serve/shell.h"
-#include "src/support/metrics.h"
 #include "src/support/str.h"
 #include "src/vision/figures.h"
 #include "src/vkern/kernel.h"
@@ -509,11 +513,213 @@ TEST_F(ServeTest, ServerStatsExposeShardsAndSessions) {
   EXPECT_NE(stats.find("\"dedup_hits\": 1"), std::string::npos);
   EXPECT_NE(stats.find("\"per_session\""), std::string::npos);
 
-  vl::MetricsRegistry::Instance().Reset();
-  server.PublishMetrics();
-  std::string prom = vl::MetricsRegistry::Instance().ToPrometheus();
-  EXPECT_NE(prom.find("serve_sessions"), std::string::npos);
-  EXPECT_NE(prom.find("serve_shard_k0_dedup_hits"), std::string::npos);
+  std::string prom = DebuggerShell((*a).session()).Execute("vctrl export prom");
+  EXPECT_NE(prom.find("\nvl_serve_sessions 2\n"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("\nvl_serve_shard_dedup_hits{shard=\"k0\"} 1\n"), std::string::npos)
+      << prom;
+}
+
+// ---------------------------------------------------------------------------
+// The Prometheus export renders the fleet snapshot
+
+struct PromSample {
+  std::string line;
+  std::string name;
+  std::map<std::string, std::string> labels;  // unescaped values
+  std::string value;
+};
+
+// Parses a text exposition; counts each family's `# TYPE` lines.
+std::vector<PromSample> ParseProm(const std::string& text, std::map<std::string, int>* types) {
+  std::vector<PromSample> samples;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      (*types)[line.substr(7, line.find(' ', 7) - 7)]++;
+      continue;
+    }
+    PromSample sample;
+    sample.line = line;
+    size_t i = line.find_first_of("{ ");
+    sample.name = line.substr(0, i);
+    if (i < line.size() && line[i] == '{') {
+      ++i;
+      while (i < line.size() && line[i] != '}') {
+        size_t eq = line.find('=', i);
+        std::string key = line.substr(i, eq - i);
+        std::string value;
+        for (i = eq + 2; i < line.size() && line[i] != '"'; ++i) {
+          if (line[i] == '\\') {
+            ++i;
+            value += line[i] == 'n' ? '\n' : line[i];
+          } else {
+            value += line[i];
+          }
+        }
+        sample.labels[key] = value;
+        i += line[i + 1] == ',' ? 2 : 1;
+      }
+      ++i;
+    }
+    sample.value = line.substr(i + 1);
+    samples.push_back(std::move(sample));
+  }
+  return samples;
+}
+
+// The value of the stats field a sample renders: `suffix` is the sample name
+// after its family prefix ("_target_dirty_queries"), searched through
+// `stats`'s keys. A histogram's _bucket/_sum/_count come from its buckets.
+std::optional<std::string> StatsValue(const vl::Json& stats, const std::string& suffix,
+                                      const std::map<std::string, std::string>& labels) {
+  if (const vl::Json* buckets = stats.Find("buckets")) {
+    if (suffix == "_sum" || suffix == "_count") {
+      return stats.Find(suffix.substr(1))->Dump();
+    }
+    if (suffix == "_bucket") {
+      if (labels.at("le") == "+Inf") {
+        return stats.Find("count")->Dump();
+      }
+      int64_t cumulative = 0;
+      for (const vl::Json& bucket : buckets->items()) {
+        cumulative += bucket.at(1).AsInt();
+        if (bucket.at(0).Dump() == labels.at("le")) {
+          return vl::Json::Int(cumulative).Dump();
+        }
+      }
+      return std::nullopt;
+    }
+  }
+  if (suffix.empty()) {
+    if (stats.kind() == vl::Json::Kind::kBool) {
+      return std::string(stats.AsBool() ? "1" : "0");
+    }
+    return stats.kind() == vl::Json::Kind::kNumber ? std::optional(stats.Dump()) : std::nullopt;
+  }
+  for (const auto& [key, child] : stats.entries()) {
+    if (suffix.rfind("_" + key, 0) != 0) {
+      continue;
+    }
+    const vl::Json* next = &child;
+    if (key == "per_model") {
+      auto model = labels.find("model");
+      next = model != labels.end() ? child.Find(model->second) : nullptr;
+    }
+    if (next != nullptr) {
+      if (auto value = StatsValue(*next, suffix.substr(key.size() + 1), labels)) {
+        return value;
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+// Boots three shards whose names an exposition must keep apart ("a-b" and
+// "a_b" sanitize alike; the third holds a quote and a backslash), serves a
+// refresh, a kernel step and a refresh on each, then checks `vctrl export
+// prom` against Server::StatsToJson.
+void CheckPromExportMatchesStats(size_t workers) {
+  ServerConfig config;
+  config.workers = workers;
+  Server server(config);
+  const std::vector<std::string> shards = {"a-b", "a_b", "q\"uo\\te"};
+  std::vector<Client> clients;
+  for (const std::string& shard : shards) {
+    ASSERT_TRUE(server.BootShard(shard, dbg::LatencyModel::GdbQemu()).ok()) << shard;
+    SessionOptions options;
+    options.shard = shard;
+    auto client = server.Connect(options);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    ASSERT_TRUE((*client)->Plot(1, Fig("fig7_1")).ok());
+    clients.push_back(std::move(client).value());
+  }
+  for (int round = 0; round < 2; ++round) {
+    for (const std::string& shard : shards) {
+      server.shard_kernel(shard)->TickCpu(round);
+    }
+    std::vector<Ticket> tickets;
+    for (Client& client : clients) {
+      auto ticket = client->SubmitRefresh(1);
+      ASSERT_TRUE(ticket.ok());
+      tickets.push_back(*ticket);
+    }
+    for (Ticket& ticket : tickets) {
+      ASSERT_TRUE(ticket.Wait().ok());
+    }
+    server.Drain();
+  }
+  std::string prom = DebuggerShell(clients[0].session()).Execute("vctrl export prom");
+  vl::Json fleet = server.StatsToJson();
+
+  std::map<std::string, int> types;
+  std::vector<PromSample> samples = ParseProm(prom, &types);
+  ASSERT_FALSE(types.empty());
+  for (const auto& [family, count] : types) {
+    EXPECT_EQ(count, 1) << family;
+  }
+  // Label values are escaped, and unescape to the shard's name.
+  EXPECT_NE(prom.find("{shard=\"q\\\"uo\\\\te\"}"), std::string::npos) << prom;
+
+  std::map<std::string, std::set<std::string>> per_shard;  // sample names by shard
+  size_t per_session = 0;
+  for (const PromSample& sample : samples) {
+    const vl::Json* stats = nullptr;
+    std::string family;
+    if (sample.labels.count("session") != 0) {
+      for (const vl::Json& session : fleet["per_session"].items()) {
+        if (session.Find("id")->Dump() == sample.labels.at("session")) {
+          stats = &session;
+          EXPECT_EQ(session.Find("shard")->AsString(), sample.labels.at("shard"));
+        }
+      }
+      family = "vl_serve_session";
+      per_session++;
+    } else if (sample.labels.count("shard") != 0) {
+      stats = fleet["shards"].Find(sample.labels.at("shard"));
+      family = "vl_serve_shard";
+      per_shard[sample.labels.at("shard")].insert(sample.name);
+    } else {
+      continue;
+    }
+    ASSERT_NE(stats, nullptr) << sample.line;
+    ASSERT_EQ(sample.name.rfind(family + "_", 0), 0u) << sample.line;
+    std::optional<std::string> expected =
+        StatsValue(*stats, sample.name.substr(family.size()), sample.labels);
+    ASSERT_TRUE(expected.has_value()) << sample.line;
+    EXPECT_EQ(sample.value, *expected) << sample.line;
+  }
+  // Every shard and session is exported, each shard with the same families.
+  ASSERT_EQ(per_shard.size(), shards.size());
+  for (const std::string& shard : shards) {
+    EXPECT_EQ(per_shard[shard], per_shard[shards[0]]) << shard;
+  }
+  EXPECT_GT(per_session, 0u);
+  // The counts the process-wide registry used to copy are exported from
+  // their owners, per shard and per session.
+  for (const char* series :
+       {"vl_serve_shard_target_dirty_queries{shard=\"a-b\"} ",
+        "vl_serve_shard_cache_invalidated_bytes_delta{shard=\"a-b\"} ",
+        "vl_serve_shard_cache_invalidated_bytes_full{shard=\"a_b\"} ",
+        "vl_serve_shard_walk_memo_replays{shard=\"a_b\"} ",
+        "vl_serve_shard_walk_memo_misses{shard=\"a-b\"} ",
+        "vl_serve_session_render_digest_hits{session=\"1\",shard=\"a-b\"} ",
+        "vl_serve_session_render_digest_misses{session=\"2\",shard=\"a_b\"} ",
+        "vl_serve_shard_queue_depth{shard=\"a-b\"} 0\n",
+        "vl_serve_check_sweeps 0\n"}) {
+    EXPECT_NE(prom.find(series), std::string::npos) << series;
+  }
+  EXPECT_GT(fleet["shards"]["a-b"]["target"]["dirty"]["queries"].AsInt(), 0);
+  EXPECT_GT(fleet["shards"]["a_b"]["walk"]["memo_misses"].AsInt(), 0);
+}
+
+TEST(PromExportTest, FamiliesAreTypedOnceAndSeriesMatchTheFleetSnapshot) {
+  CheckPromExportMatchesStats(0);
+}
+
+// The same on the worker pool, for the tsan-serve preset.
+TEST(PromExportTest, ServeWorkerPoolSeriesMatchTheFleetSnapshot) {
+  CheckPromExportMatchesStats(2);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
-// Tests for the deterministic tracing/metrics layer (support/trace.h,
-// support/metrics.h) and its integration: span nesting and self-time
+// Tests for the deterministic tracing layer (support/trace.h,
+// support/histogram.h) and its integration: span nesting and self-time
 // accounting, run-to-run byte-identical Chrome trace JSON, histogram bucket
-// edges, per-transport charge attribution, and the vctrl stats / vctrl trace /
-// vprof shell commands.
+// edges, the tracer's read statistics, per-transport charge attribution, and
+// the vctrl stats / vctrl trace / vprof shell commands.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,7 @@
 #include <string>
 
 #include "src/dbg/kernel_introspect.h"
-#include "src/support/metrics.h"
+#include "src/support/histogram.h"
 #include "src/support/trace.h"
 #include "src/viewcl/interp.h"
 #include "src/vision/figures.h"
@@ -21,14 +21,13 @@
 namespace vl {
 namespace {
 
-// The tracer and metrics registry are process-wide; every test starts and
-// finishes with both quiesced so ordering cannot leak state.
+// The tracer is process-wide; every test starts and finishes with it
+// quiesced so ordering cannot leak state.
 void Quiesce() {
   Tracer& tracer = Tracer::Instance();
   tracer.Disable();
   tracer.Clear();
   tracer.SetCapacity(1 << 16);
-  MetricsRegistry::Instance().Reset();
 }
 
 class TraceTest : public ::testing::Test {
@@ -198,19 +197,27 @@ TEST_F(TraceTest, ApproxQuantileOnKnownDistributions) {
 }
 
 TEST_F(TraceTest, MetricsReportQuantiles) {
-  MetricsRegistry& metrics = MetricsRegistry::Instance();
-  Histogram* h = metrics.GetHistogram("test.quantiles");
+  Tracer& tracer = Tracer::Instance();
   for (uint64_t v = 1; v <= 100; ++v) {
-    h->Record(v);
+    tracer.RecordRead(v, 2 * v);
   }
-  Json j = metrics.ToJson();
-  const Json* hist = j.Find("histograms")->Find("test.quantiles");
+  tracer.CountTaggedRead("task_struct", 64);
+  tracer.CountTaggedRead("task_struct", 32);
+  Json j = tracer.read_stats().ToJson();
+  const Json* hist = j.Find("bytes");
   ASSERT_NE(hist, nullptr);
   ASSERT_NE(hist->Find("p50"), nullptr);
   ASSERT_NE(hist->Find("p90"), nullptr);
   ASSERT_NE(hist->Find("p99"), nullptr);
   EXPECT_NEAR(hist->Find("p50")->AsNumber(), 50.0, 8.0);
-  EXPECT_NE(metrics.TextReport().find("p50="), std::string::npos);
+  EXPECT_EQ(j.Find("latency_ns")->Find("count")->AsInt(), 100);
+  const Json* tagged = j.Find("by_type")->Find("task_struct");
+  ASSERT_NE(tagged, nullptr);
+  EXPECT_EQ(tagged->Find("reads")->AsInt(), 2);
+  EXPECT_EQ(tagged->Find("bytes")->AsInt(), 96);
+  tracer.Clear();
+  EXPECT_EQ(tracer.read_stats().bytes.count(), 0u);
+  EXPECT_TRUE(tracer.read_stats().by_tag.empty());
 }
 
 TEST_F(TraceTest, AnnotateAccumulatesIntoInnermostSpan) {
@@ -366,7 +373,6 @@ class TraceKernelTest : public vltest::WorkloadKernelTest {
   std::string TracedRun(const char* figure_id) {
     Tracer& tracer = Tracer::Instance();
     tracer.Clear();
-    MetricsRegistry::Instance().Reset();
     debugger_->target().ResetStats();
     // A clean slate includes an empty read cache: a warm cache elides
     // transport reads (and their spans) entirely.
@@ -430,21 +436,19 @@ TEST_F(TraceKernelTest, ReadsAreTaggedByKernelType) {
   ASSERT_TRUE(graph.ok());
   tracer.Disable();
 
-  const auto& counters = MetricsRegistry::Instance().counters();
   uint64_t typed = 0;
-  for (const auto& [name, counter] : counters) {
-    if (name.rfind("dbg.read.by_type.", 0) == 0 &&
-        name.rfind("dbg.read.by_type.untyped", 0) != 0) {
-      typed += counter.value();
+  for (const auto& [tag, counts] : tracer.read_stats().by_tag) {
+    if (tag != "untyped") {
+      typed += counts.reads;
     }
   }
   EXPECT_GT(typed, 0u);
-  EXPECT_GT(MetricsRegistry::Instance().histograms().at("dbg.read.bytes").count(), 0u);
+  EXPECT_GT(tracer.read_stats().bytes.count(), 0u);
 }
 
-// Target::ResetStats zeroes only what the target owns: the process-wide
-// dbg.read.* tracing metrics and the trace survive it, and are cleared with
-// the trace by `vctrl trace clear`.
+// Target::ResetStats zeroes only what the target owns: the tracer's read
+// statistics and the trace survive it, and are cleared with the trace by
+// `vctrl trace clear`.
 TEST_F(TraceKernelTest, ResetStatsLeavesTracingData) {
   Tracer& tracer = Tracer::Instance();
   tracer.Enable();
@@ -452,27 +456,26 @@ TEST_F(TraceKernelTest, ResetStatsLeavesTracingData) {
   ASSERT_TRUE(interp.RunProgram(vision::FindFigure("fig7_1")->viewcl).ok());
   tracer.Disable();
 
-  MetricsRegistry& metrics = MetricsRegistry::Instance();
-  const uint64_t read_count = metrics.histograms().at("dbg.read.bytes").count();
+  const ReadStats& reads = tracer.read_stats();
+  const uint64_t read_count = reads.bytes.count();
   ASSERT_GT(read_count, 0u);
+  ASSERT_FALSE(reads.by_tag.empty());
+  const size_t tags = reads.by_tag.size();
   const size_t spans = tracer.Snapshot().size();
 
   debugger_->target().ResetStats();
   EXPECT_EQ(debugger_->target().reads(), 0u);
   EXPECT_EQ(debugger_->target().clock().nanos(), 0u);
-  EXPECT_EQ(metrics.histograms().at("dbg.read.bytes").count(), read_count);
-  EXPECT_EQ(metrics.histograms().at("dbg.read.latency_ns").count(), read_count);
+  EXPECT_EQ(reads.bytes.count(), read_count);
+  EXPECT_EQ(reads.latency_ns.count(), read_count);
+  EXPECT_EQ(reads.by_tag.size(), tags);
   EXPECT_EQ(tracer.Snapshot().size(), spans);
 
   vltest::ServedShell shell(debugger_.get());
   ASSERT_EQ(shell.Execute("vctrl trace clear"), "trace cleared\n");
-  EXPECT_EQ(metrics.histograms().at("dbg.read.bytes").count(), 0u);
-  EXPECT_EQ(metrics.histograms().at("dbg.read.latency_ns").count(), 0u);
-  for (const auto& [name, counter] : metrics.counters()) {
-    if (name.rfind("dbg.read.", 0) == 0) {
-      EXPECT_EQ(counter.value(), 0u) << name;
-    }
-  }
+  EXPECT_EQ(reads.bytes.count(), 0u);
+  EXPECT_EQ(reads.latency_ns.count(), 0u);
+  EXPECT_TRUE(reads.by_tag.empty());
   EXPECT_TRUE(tracer.Snapshot().empty());
   EXPECT_EQ(tracer.NowNanos(), 0u);
 }
@@ -542,8 +545,9 @@ TEST_F(TraceShellTest, VctrlStatsReportsTargetAndTracer) {
   EXPECT_NE(cache->Find("hits"), nullptr);
   EXPECT_NE(cache->Find("hit_rate"), nullptr);
   EXPECT_NE(merged->Find("panes"), nullptr);
-  EXPECT_NE(merged->Find("tracer"), nullptr);
-  EXPECT_NE(merged->Find("metrics"), nullptr);
+  ASSERT_NE(merged->Find("tracer"), nullptr);
+  EXPECT_NE(merged->Find("tracer")->Find("reads"), nullptr);
+  EXPECT_EQ(merged->Find("metrics"), nullptr);
 }
 
 TEST_F(TraceShellTest, VctrlTraceOnOffDump) {
@@ -579,6 +583,34 @@ TEST_F(TraceShellTest, VprofBreakdownReconcilesWithClockExactly) {
   EXPECT_FALSE(Tracer::Instance().enabled());
   // The profiled graph landed in the pane.
   EXPECT_NE(shell_->panes().graph(1), nullptr);
+}
+
+// vprof reads its breakdown from its own subtree: the spans traced before it
+// stay in the user's trace.
+TEST_F(TraceShellTest, VprofKeepsTheUsersTrace) {
+  Tracer& tracer = Tracer::Instance();
+  ASSERT_EQ(shell_->Execute("vctrl trace on"), "tracing on\n");
+  std::string plot =
+      shell_->Execute(std::string("vplot 1 ") + vision::FindFigure("fig7_1")->viewcl);
+  ASSERT_NE(plot.find("plotted"), std::string::npos) << plot;
+  const std::vector<TraceEvent> before = tracer.Snapshot();
+  ASSERT_FALSE(before.empty());
+  ASSERT_EQ(tracer.stats().count("vprof"), 0u);
+
+  std::string out =
+      shell_->Execute(std::string("vprof 1 ") + vision::FindFigure("fig3_4")->viewcl);
+  EXPECT_NE(out.find("(exact)"), std::string::npos) << out;
+  EXPECT_EQ(out.find("MISMATCH"), std::string::npos) << out;
+  const std::vector<TraceEvent> after = tracer.Snapshot();
+  ASSERT_GT(after.size(), before.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].seq, before[i].seq) << i;
+    EXPECT_EQ(after[i].name, before[i].name) << i;
+  }
+  EXPECT_EQ(tracer.stats().count("vprof"), 1u);
+  EXPECT_TRUE(tracer.enabled());
+  EXPECT_FALSE(tracer.tree_enabled());
+  shell_->Execute("vctrl trace off");
 }
 
 TEST_F(TraceShellTest, SessionSaveIncludesStats) {

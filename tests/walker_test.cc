@@ -132,7 +132,7 @@ TEST_F(WalkerTest, ByteIdenticalAfterIncrementalSteps) {
       EXPECT_EQ(raw.render, vision::AsciiRenderer().Render(**graph))
           << figure.id << " after " << step << " step(s)";
       EXPECT_EQ(raw.warnings, engines[i]->warnings()) << figure.id;
-      replays += engines[i]->memo_replays();
+      replays += engines[i]->walk_stats().memo_replays;
     }
     workload_->Step();
     kernel_->TickCpu(0);
@@ -384,12 +384,12 @@ TEST_F(WalkerTest, ShellExposesWalkerStats) {
   EXPECT_NE(stats.find(" runs=1 "), std::string::npos) << stats;
   vl::Json fleet = server.StatsToJson();
   // The schema (docs/observability.md#stats-schema), fleet-wide and per shard.
-  for (const char* key :
-       {"runs", "levels", "batches", "tasks", "retries", "unbatched_reads", "fallbacks"}) {
+  for (const char* key : {"runs", "levels", "batches", "tasks", "retries", "unbatched_reads",
+                          "fallbacks", "memo_replays", "memo_misses"}) {
     ASSERT_NE(fleet["walk"].Find(key), nullptr) << key;
     EXPECT_EQ(fleet["walk"][key].AsInt(), fleet["shards"]["k0"]["walk"][key].AsInt()) << key;
   }
-  EXPECT_EQ(fleet["walk"].size(), 7u);
+  EXPECT_EQ(fleet["walk"].size(), 9u);
   EXPECT_EQ(fleet["walk"]["runs"].AsInt(), 1);
   EXPECT_EQ(fleet["walk"]["unbatched_reads"].AsInt(), 0);
   EXPECT_GT(fleet["walk"]["levels"].AsInt(), 0);
