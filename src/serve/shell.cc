@@ -539,14 +539,18 @@ std::string DebuggerShell::CmdStats(const std::string& args) {
   if (session.delta_enabled() || dirty.queries > 0) {
     out += vl::StrFormat(
         "  delta: %s, %llu delta / %llu full invalidations "
-        "(%llu B delta, %llu B full), %llu blocks refreshed (%llu B)\n",
+        "(%llu B delta, %llu B full), %llu blocks refreshed (%llu B), "
+        "%llu refills (%llu B), %llu B used\n",
         session.delta_enabled() ? "on" : "off",
         static_cast<unsigned long long>(cache.delta_invalidations),
         static_cast<unsigned long long>(cache.invalidations),
         static_cast<unsigned long long>(cache.invalidated_bytes_delta),
         static_cast<unsigned long long>(cache.invalidated_bytes_full),
         static_cast<unsigned long long>(cache.refreshed_blocks),
-        static_cast<unsigned long long>(cache.refreshed_bytes));
+        static_cast<unsigned long long>(cache.refreshed_bytes),
+        static_cast<unsigned long long>(cache.refills),
+        static_cast<unsigned long long>(cache.refilled_bytes),
+        static_cast<unsigned long long>(cache.used_bytes));
     out += vl::StrFormat(
         "  dirty-log: %llu queries, %llu pages scanned, %llu dirty, %llu ns charged\n",
         static_cast<unsigned long long>(dirty.queries),

@@ -140,6 +140,44 @@ TEST_F(WalkerTest, ByteIdenticalAfterIncrementalSteps) {
   EXPECT_GT(replays, 0u) << "clean subtrees must replay their memos";
 }
 
+// After a kernel step, a field no earlier walk read sits in a sector the
+// delta refresh left invalid: the walk that reads it refills the block in a
+// level batch, not with a round trip of its own.
+TEST_F(WalkerTest, RefillOfARefreshedBlockJoinsTheLevelBatch) {
+  auto debugger = MakeDebugger(dbg::CacheConfig::Incremental());
+  dbg::ReadSession& session = debugger->session();
+  vkern::task_struct* task = kernel_->procs().init_task();
+  const uint64_t block = session.config().block_bytes;
+  ASSERT_EQ(reinterpret_cast<uint64_t>(&task->pid) / block,
+            reinterpret_cast<uint64_t>(&task->comm) / block)
+      << "the test needs pid and comm in one block";
+
+  Interpreter pids(debugger.get());
+  ASSERT_TRUE(pids.RunProgram("define T as Box<task_struct> [ Text pid ]\n"
+                              "plot T(${&init_task})")
+                  .ok());
+  // Rename the task: the refresh re-reads the pid sector of its block and
+  // leaves the comm sectors invalid.
+  task->comm[0] = task->comm[0] == 'x' ? 'y' : 'x';
+  kernel_->BumpGeneration();
+  (void)session.SyncEpoch();
+  const dbg::CacheStats before = session.cache_stats();
+  ASSERT_GT(before.refreshed_blocks, 0u);
+  const uint64_t reads = debugger->target().reads();
+
+  const std::string program =
+      "define T as Box<task_struct> [ Text pid, comm ]\nplot T(${&init_task})";
+  Interpreter names(debugger.get());
+  auto graph = names.RunProgram(program);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  EXPECT_EQ(vision::AsciiRenderer().Render(**graph),
+            Render(program, dbg::CacheConfig::Disabled()).render);
+  const WalkStats& walk = names.walk_stats();
+  EXPECT_EQ(session.cache_stats().refills - before.refills, 1u);
+  EXPECT_EQ(walk.unbatched_reads, 0u);
+  EXPECT_EQ(debugger->target().reads() - reads, walk.batches);
+}
+
 // Exact batch accounting: with batching in play the virtual clock still
 // decomposes exactly into reads * per_access + bytes * per_byte (a vectored
 // batch counts as ONE read), and every level's misses ride one batch.
