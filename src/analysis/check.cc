@@ -69,26 +69,112 @@ const std::vector<CheckRuleInfo>& CatalogImpl() {
   return kCatalog;
 }
 
-// Per-run traversal context: plumbing (typed reads, offsets, symbols), the
-// explain tree, and the violation sink for one rule body.
+// Where one rule attempt's findings go: the rule's report and the explain
+// nodes open in it. The slab walk VC005 and VC006 share feeds both rules'
+// sinks at once; every other walk feeds one.
+struct Sink {
+  Sink(CheckRuleReport* r, bool is_strict, bool was_truncated = false)
+      : report(r), strict(is_strict), truncated(was_truncated) {
+    stack.push_back(&r->explain);
+  }
+  CheckRuleReport* report;
+  bool strict;            // takes VC005's strict-only slab findings
+  bool truncated;         // hit kMaxViolationsPerRule
+  bool attached = true;   // still fed (a shared walk drops an exhausted sink)
+  size_t caches = 0;      // slab caches walked while attached
+  std::vector<CheckExplainNode*> stack;
+  std::deque<CheckExplainNode> scratch;
+};
+
+// A field offset, resolved once per sweep.
+struct ResolvedField {
+  uint64_t offset = 0;
+  bool found = false;
+};
+
+// Resolved fields are keyed by the contents of the type and field names, so
+// Off() may be passed any string, not only a literal. Lookups take the names
+// as views; an entry owns copies of them.
+using FieldName = std::pair<std::string_view, std::string_view>;
+using FieldKey = std::pair<std::string, std::string>;
+
+struct FieldKeyHash {
+  using is_transparent = void;
+  size_t operator()(FieldName name) const {
+    return std::hash<std::string_view>()(name.first) * 31 +
+           std::hash<std::string_view>()(name.second);
+  }
+  size_t operator()(const FieldKey& key) const { return (*this)(FieldName(key.first, key.second)); }
+};
+
+struct FieldKeyEq {
+  using is_transparent = void;
+  static FieldName Name(const FieldKey& key) { return {key.first, key.second}; }
+  static FieldName Name(FieldName name) { return name; }
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const {
+    return Name(a) == Name(b);
+  }
+};
+
+// What the slab rules read of one slab and one cache.
+struct SlabInfo {
+  uint64_t slab_addr = 0;
+  uint64_t s_mem = 0;
+  uint32_t inuse = 0;
+  std::vector<uint32_t> free_chain;  // indexes on the embedded freelist
+  bool chain_ok = false;
+};
+
+struct CacheInfo {
+  uint64_t addr = 0;
+  std::string name;
+  uint32_t object_size = 0;
+  uint32_t size = 0;  // aligned stride
+  uint32_t num = 0;
+  std::vector<SlabInfo> slabs;
+};
+
+// One slab walk and VC006's findings from it: VC006 starts every attempt
+// from the walk of the attempt VC005 ran (or from its own), so the caches
+// are walked once per attempt, not once per rule.
+struct SlabWalk {
+  std::vector<CacheInfo> caches;  // those VC006 walked
+  CheckRuleReport findings;       // VC006's report after the walk
+  bool truncated = false;         // VC006 hit the violation cap in it
+  bool deferred = false;          // the walk stopped on a deferred read
+};
+
+// What the attempts of one sweep share: field offsets, resolved once (the
+// type registry does not change under a sweep), and the last slab walk.
+struct SweepState {
+  std::unordered_map<FieldKey, ResolvedField, FieldKeyHash, FieldKeyEq> fields;
+  std::optional<SlabWalk> slab_walk;
+};
+
+// Per-attempt traversal context: plumbing (typed reads, offsets, symbols),
+// the explain trees, and the violation sinks of one rule body (or of the
+// slab walk VC005 and VC006 share).
+//
+// While the session defers misses, a read that defers stops its chain
+// without a finding, and once one has deferred the attempt records no
+// finding at all: it is discarded, and the rule runs again after the batch.
 class Checker {
  public:
   Checker(const dbg::TypeRegistry* types, const dbg::SymbolTable* symbols,
-          dbg::ReadSession* session, const std::vector<uint64_t>* suspects,
-          CheckRuleReport* report)
-      : types_(types), symbols_(symbols), session_(session), suspects_(suspects),
-        report_(report) {
-    stack_.push_back(&report_->explain);
-  }
+          dbg::ReadSession* session, const std::vector<uint64_t>* suspects, SweepState* state,
+          std::vector<Sink*> sinks)
+      : types_(types), symbols_(symbols), session_(session), suspects_(suspects), state_(state),
+        sinks_(std::move(sinks)), deferrals0_(session->deferrals()) {}
 
+  // Runs a rule other than the slab rules (VC005/VC006: WalkCaches and
+  // SlabPoison).
   void Run(size_t rule_idx) {
     switch (rule_idx) {
       case 0: ListIntegrity(); break;
       case 1: RbOrder(); break;
       case 2: RbColor(); break;
       case 3: MaplePivots(); break;
-      case 4: SlabFreelist(); break;
-      case 5: SlabPoison(); break;
       case 6: TaskReachability(); break;
       case 7: RcuCblist(); break;
       case 8: PipeCanMerge(); break;
@@ -96,10 +182,14 @@ class Checker {
       case 10: WorkqueueLinkage(); break;
       default: break;
     }
-    if (truncated_) {
-      report_->explain.children.push_back(
-          {"… further violations suppressed (cap " +
-               std::to_string(kMaxViolationsPerRule) + ")",
+  }
+
+  // Closes `sink`'s report: notes the cap if it suppressed findings.
+  static void Finish(Sink* sink) {
+    if (sink->truncated) {
+      sink->report->explain.children.push_back(
+          {"… further violations suppressed (cap " + std::to_string(kMaxViolationsPerRule) +
+               ")",
            {}});
     }
   }
@@ -107,14 +197,23 @@ class Checker {
  private:
   // ---- plumbing -----------------------------------------------------------
 
+  // True once a read of this attempt has deferred.
+  bool Deferred() const { return session_->deferrals() != deferrals0_; }
+
   uint64_t Off(const char* type_name, const char* field_name) {
-    const dbg::Type* t = types_->FindByName(type_name);
-    const dbg::Field* f = t != nullptr ? t->FindField(field_name) : nullptr;
-    if (f == nullptr) {
-      MetaMissing(std::string(type_name) + "." + field_name);
-      return 0;
+    auto it = state_->fields.find(FieldName(type_name, field_name));
+    if (it == state_->fields.end()) {
+      const dbg::Type* t = types_->FindByName(type_name);
+      const dbg::Field* f = t != nullptr ? t->FindField(field_name) : nullptr;
+      it = state_->fields
+               .emplace(FieldKey(type_name, field_name),
+                        f != nullptr ? ResolvedField{f->offset, true} : ResolvedField{})
+               .first;
     }
-    return f->offset;
+    if (!it->second.found) {
+      MetaMissing(std::string(type_name) + "." + field_name);
+    }
+    return it->second.offset;
   }
 
   size_t SizeOf(const char* type_name) {
@@ -149,8 +248,10 @@ class Checker {
   std::optional<uint64_t> RU(uint64_t addr, size_t size, const char* what = nullptr) {
     vl::StatusOr<uint64_t> v = session_->ReadUnsigned(addr, size);
     if (!v.ok()) {
-      Violate(addr, std::string("unreadable memory") +
-                        (what != nullptr ? std::string(" (") + what + ")" : ""));
+      if (!dbg::ReadSession::IsDeferred(v.status())) {
+        Violate(addr, std::string("unreadable memory") +
+                          (what != nullptr ? std::string(" (") + what + ")" : ""));
+      }
       return std::nullopt;
     }
     return v.value();
@@ -159,75 +260,124 @@ class Checker {
     return RU(addr, 8, what);
   }
 
+  // A deferred string reads as unreadable: the attempt is discarded anyway.
   std::string RStr(uint64_t addr, size_t max_len) {
     vl::StatusOr<std::string> v = session_->ReadCString(addr, max_len);
     return v.ok() ? v.value() : std::string("<unreadable>");
   }
 
+  // False when the bytes are unreadable or deferred (Deferred() tells).
   bool ReadBuf(uint64_t addr, std::vector<uint8_t>* out, size_t len) {
     out->resize(len);
     return session_->ReadBytes(addr, out->data(), len).ok();
   }
 
   void MetaMissing(const std::string& what) {
-    if (meta_reported_.insert(what).second) {
+    if (!meta_reported_.insert(what).second) {
+      return;
+    }
+    for (Sink* sink : sinks_) {
+      if (!sink->attached) continue;
       CheckViolation v;
       v.addr = 0;
       v.trail = trail_;
-      v.diagnostic.rule = report_->id;
+      v.diagnostic.rule = sink->report->id;
       v.diagnostic.severity = vl::Severity::kWarning;
       v.diagnostic.message = "type registry incomplete: missing " + what;
-      report_->violations.push_back(std::move(v));
+      sink->report->violations.push_back(std::move(v));
     }
   }
 
-  bool Exhausted() const { return truncated_; }
+  // True when no attached sink takes findings any more.
+  bool Exhausted() const {
+    for (const Sink* sink : sinks_) {
+      if (sink->attached && !sink->truncated) return false;
+    }
+    return true;
+  }
+
+  // True when an attached sink takes VC005's strict findings.
+  bool Strict() const {
+    for (const Sink* sink : sinks_) {
+      if (sink->attached && sink->strict) return true;
+    }
+    return false;
+  }
+
+  // While open, findings (and failed reads) go to the strict sinks only: the
+  // checks only VC005's walk makes.
+  struct StrictScope {
+    explicit StrictScope(Checker* c) : c_(c) { c_->strict_only_ = true; }
+    ~StrictScope() { c_->strict_only_ = false; }
+
+   private:
+    Checker* c_;
+  };
 
   void Violate(uint64_t addr, std::string message) {
-    if (report_->violations.size() >= kMaxViolationsPerRule) {
-      truncated_ = true;
-      return;
+    if (Deferred()) {
+      return;  // this attempt runs again after the batch
     }
-    CheckViolation v;
-    v.addr = addr;
-    v.trail = trail_;
-    v.diagnostic.rule = report_->id;
-    v.diagnostic.severity = vl::Severity::kError;
-    v.diagnostic.message = std::move(message) + " (addr " + Hex(addr) + ")";
-    report_->violations.push_back(std::move(v));
+    message += " (addr " + Hex(addr) + ")";
+    for (Sink* sink : sinks_) {
+      if (!sink->attached || (strict_only_ && !sink->strict)) continue;
+      if (sink->report->violations.size() >= kMaxViolationsPerRule) {
+        sink->truncated = true;
+        continue;
+      }
+      CheckViolation v;
+      v.addr = addr;
+      v.trail = trail_;
+      v.diagnostic.rule = sink->report->id;
+      v.diagnostic.severity = vl::Severity::kError;
+      v.diagnostic.message = message;
+      sink->report->violations.push_back(std::move(v));
+    }
   }
 
   // ---- explain tree -------------------------------------------------------
 
-  CheckExplainNode* Enter(std::string label) {
-    CheckExplainNode* parent = stack_.back();
-    CheckExplainNode* node;
-    if (parent->children.size() < kMaxExplainChildren) {
-      parent->children.push_back({label, {}});
-      node = &parent->children.back();
-    } else {
-      if (parent->children.size() == kMaxExplainChildren) {
-        parent->children.push_back({"…", {}});
+  void Enter(std::string label) {
+    for (Sink* sink : sinks_) {
+      if (!sink->attached) continue;
+      CheckExplainNode* parent = sink->stack.back();
+      CheckExplainNode* node;
+      if (parent->children.size() < kMaxExplainChildren) {
+        parent->children.push_back({label, {}});
+        node = &parent->children.back();
+      } else {
+        if (parent->children.size() == kMaxExplainChildren) {
+          parent->children.push_back({"…", {}});
+        }
+        // Overflowing children still get a live node (for the trail), parked
+        // in a stable side pool so nested Enter/Leave keeps working.
+        sink->scratch.push_back({label, {}});
+        node = &sink->scratch.back();
       }
-      // Overflowing children still get a live node (for the trail), parked in
-      // a stable side pool so nested Enter/Leave keeps working.
-      scratch_.push_back({label, {}});
-      node = &scratch_.back();
+      sink->stack.push_back(node);
     }
-    stack_.push_back(node);
     trail_.push_back(std::move(label));
-    return node;
   }
 
   void Leave() {
-    stack_.pop_back();
+    for (Sink* sink : sinks_) {
+      if (sink->attached) sink->stack.pop_back();
+    }
     trail_.pop_back();
   }
 
+  // Appends to the label of the innermost open node.
+  void AppendLabel(const std::string& text) {
+    for (Sink* sink : sinks_) {
+      if (sink->attached) sink->stack.back()->label += text;
+    }
+  }
+
   struct ExplainScope {
-    ExplainScope(Checker* c, std::string label) : c_(c) { node = c->Enter(std::move(label)); }
+    ExplainScope(Checker* c, std::string label) : c_(c) { c_->Enter(std::move(label)); }
     ~ExplainScope() { c_->Leave(); }
-    CheckExplainNode* node;
+    // The scope must be the innermost open one.
+    void Append(const std::string& text) { c_->AppendLabel(text); }
 
    private:
     Checker* c_;
@@ -320,13 +470,13 @@ class Checker {
       if (!Sym(root.symbol, &head)) continue;
       ExplainScope scope(this, root.label);
       size_t n = WalkList(head, root.symbol).size();
-      scope.node->label += " — " + std::to_string(n) + " nodes";
+      scope.Append(" — " + std::to_string(n) + " nodes");
     }
     uint64_t init_task = 0;
     if (!Exhausted() && Sym("init_task", &init_task)) {
       ExplainScope scope(this, "init_task.tasks (global task list)");
       size_t n = WalkList(init_task + Off("task_struct", "tasks"), "task list").size();
-      scope.node->label += " — " + std::to_string(n) + " nodes";
+      scope.Append(" — " + std::to_string(n) + " nodes");
     }
   }
 
@@ -441,7 +591,7 @@ class Checker {
                 "rb_leftmost is " + Hex(*leftmost) + " but the leftmost node is " +
                     Hex(ctx.first_inorder));
       }
-      scope.node->label += " — " + std::to_string(ctx.nodes) + " nodes";
+      scope.Append(" — " + std::to_string(ctx.nodes) + " nodes");
     }
   }
 
@@ -579,39 +729,22 @@ class Checker {
       if (!root) continue;
       ExplainScope scope(this, RStr(task + off_comm, 16) + ": mm " + Hex(*mm) + " mm_mt");
       if (*root == 0 || (*root & 2) == 0) {
-        scope.node->label += " (empty/direct)";
+        scope.Append(" (empty/direct)");
         continue;  // empty tree or direct root entry: nothing structural
       }
       MapleCtx ctx;
       ctx.tree_addr = tree;
       MapleNodeWalk(&ctx, *root, 0, kMtMaxIndex, 0, 0, 0);
-      scope.node->label += " — " + std::to_string(ctx.nodes) + " nodes";
+      scope.Append(" — " + std::to_string(ctx.nodes) + " nodes");
     }
   }
 
   // ---- VC005 / VC006: slab caches ----------------------------------------
 
-  struct SlabInfo {
-    uint64_t slab_addr = 0;
-    uint64_t s_mem = 0;
-    uint32_t inuse = 0;
-    std::vector<uint32_t> free_chain;  // indexes on the embedded freelist
-    bool chain_ok = false;
-  };
-
-  struct CacheInfo {
-    uint64_t addr = 0;
-    std::string name;
-    uint32_t object_size = 0;
-    uint32_t size = 0;  // aligned stride
-    uint32_t num = 0;
-    std::vector<SlabInfo> slabs;
-  };
-
   // Reads one slab descriptor and walks its embedded free-index chain.
   // `expect` classifies the list the slab was found on: 0 = free, 1 =
-  // partial, 2 = full. Emits VC005-style violations when `strict`.
-  SlabInfo ReadSlab(const CacheInfo& cache, uint64_t slab_addr, int expect, bool strict) {
+  // partial, 2 = full. Strict sinks get the descriptor checks.
+  SlabInfo ReadSlab(const CacheInfo& cache, uint64_t slab_addr, int expect) {
     SlabInfo info;
     info.slab_addr = slab_addr;
     const uint64_t off_cache = Off("slab", "cache");
@@ -625,7 +758,9 @@ class Checker {
     if (!owner || !smem || !inuse || !free_idx) return info;
     info.s_mem = *smem;
     info.inuse = static_cast<uint32_t>(*inuse);
+    const bool strict = Strict();
     if (strict) {
+      StrictScope strict_only(this);
       if (*owner != cache.addr) {
         Violate(slab_addr, "slab->cache points at " + Hex(*owner) + ", expected cache '" +
                                cache.name + "' " + Hex(cache.addr));
@@ -651,6 +786,7 @@ class Checker {
     while (idx != kSlabFreeEnd) {
       if (idx >= cache.num) {
         if (strict) {
+          StrictScope strict_only(this);
           Violate(slab_addr, "free-index chain escapes the slab: index " +
                                  std::to_string(idx) + " >= " + std::to_string(cache.num));
         }
@@ -658,6 +794,7 @@ class Checker {
       }
       if (seen[idx] || ++steps > cache.num) {
         if (strict) {
+          StrictScope strict_only(this);
           Violate(info.s_mem + static_cast<uint64_t>(idx) * cache.size,
                   "free-index chain cycles at index " + std::to_string(idx));
         }
@@ -672,6 +809,7 @@ class Checker {
     }
     info.chain_ok = true;
     if (strict && info.free_chain.size() != cache.num - info.inuse) {
+      StrictScope strict_only(this);
       Violate(slab_addr, "free-index chain has " + std::to_string(info.free_chain.size()) +
                              " entries, expected num - inuse = " +
                              std::to_string(cache.num - info.inuse));
@@ -679,7 +817,12 @@ class Checker {
     return info;
   }
 
-  std::vector<CacheInfo> WalkCaches(bool strict) {
+ public:
+  // Walks every cache on cache_chain and its three slab lists. Strict sinks
+  // (VC005) also get the descriptor and accounting checks. A sink that hits
+  // the violation cap stops being fed at the next cache, as its own walk
+  // would stop there.
+  std::vector<CacheInfo> WalkCaches() {
     std::vector<CacheInfo> caches;
     uint64_t chain = 0;
     if (!Sym("cache_chain", &chain)) return caches;
@@ -693,6 +836,9 @@ class Checker {
     const uint64_t off_total = Off("kmem_cache", "total_objects");
     static const char* kLists[] = {"slabs_free", "slabs_partial", "slabs_full"};
     for (uint64_t node : WalkList(chain, "cache_chain")) {
+      for (Sink* sink : sinks_) {
+        sink->attached = sink->attached && !sink->truncated;
+      }
       if (Exhausted()) break;
       CacheInfo cache;
       cache.addr = node - off_link;
@@ -710,13 +856,14 @@ class Checker {
       for (int list = 0; list < 3; ++list) {
         uint64_t head = cache.addr + Off("kmem_cache", kLists[list]);
         for (uint64_t slab_node : WalkList(head, kLists[list])) {
-          SlabInfo si = ReadSlab(cache, slab_node - off_slab_list, list, strict);
+          SlabInfo si = ReadSlab(cache, slab_node - off_slab_list, list);
           sum_inuse += si.inuse;
           sum_objects += cache.num;
           cache.slabs.push_back(std::move(si));
         }
       }
-      if (strict) {
+      if (Strict()) {
+        StrictScope strict(this);
         std::optional<uint64_t> active = RU(cache.addr + off_active, 8);
         std::optional<uint64_t> total = RU(cache.addr + off_total, 8);
         if (active && *active != sum_inuse) {
@@ -730,17 +877,19 @@ class Checker {
                       " != objects on its slab lists " + std::to_string(sum_objects));
         }
       }
-      scope.node->label += " — " + std::to_string(cache.slabs.size()) + " slabs, " +
-                           std::to_string(sum_inuse) + " live objects";
+      scope.Append(" — " + std::to_string(cache.slabs.size()) + " slabs, " +
+                   std::to_string(sum_inuse) + " live objects");
       caches.push_back(std::move(cache));
+      for (Sink* sink : sinks_) {
+        if (sink->attached) sink->caches = caches.size();
+      }
     }
     return caches;
   }
 
-  void SlabFreelist() { WalkCaches(/*strict=*/true); }
-
-  void SlabPoison() {
-    std::vector<CacheInfo> caches = WalkCaches(/*strict=*/false);
+  // VC006 after the walk: the poison of every free object of `caches`, then
+  // the suspect audit.
+  void SlabPoison(const std::vector<CacheInfo>& caches) {
     std::vector<uint8_t> buf;
     for (const CacheInfo& cache : caches) {
       if (Exhausted()) return;
@@ -768,7 +917,7 @@ class Checker {
           if (Exhausted()) return;
         }
       }
-      scope.node->label += " — " + std::to_string(scanned) + " free objects";
+      scope.Append(" — " + std::to_string(scanned) + " free objects");
     }
     // Suspect audit: a pointer a (crashed) reader still holds. If it resolves
     // into a *free* slab object, that reader's next dereference is a
@@ -790,20 +939,21 @@ class Checker {
             Violate(obj, "use-after-free: suspect pointer " + Hex(suspect) +
                              " names freed object " + std::to_string(idx) + " of cache '" +
                              cache.name + "' (free-poisoned; any dereference reads 0x6b)");
-            scope.node->label += " — freed object in '" + cache.name + "'";
+            scope.Append(" — freed object in '" + cache.name + "'");
           } else {
-            scope.node->label += " — live object in '" + cache.name + "'";
+            scope.Append(" — live object in '" + cache.name + "'");
           }
           break;
         }
         if (located) break;
       }
       if (!located) {
-        scope.node->label += " — not a slab object";
+        scope.Append(" — not a slab object");
       }
     }
   }
 
+ private:
   // ---- VC007 task-reachability -------------------------------------------
 
   void TaskReachability() {
@@ -859,7 +1009,7 @@ class Checker {
         }
       }
     }
-    scope.node->label += " — " + std::to_string(reachable.size()) + " reachable";
+    scope.Append(" — " + std::to_string(reachable.size()) + " reachable");
 
     for (uint64_t task : AllTasks()) {
       if (Exhausted()) return;
@@ -936,7 +1086,7 @@ class Checker {
                                       " but the last next pointer lives at " + Hex(link));
         }
       }
-      scope.node->label += " — " + std::to_string(count) + " callbacks";
+      scope.Append(" — " + std::to_string(count) + " callbacks");
     }
   }
 
@@ -1028,7 +1178,7 @@ class Checker {
           }
         }
       }
-      sb_scope.node->label += " — " + std::to_string(pipes) + " pipes";
+      sb_scope.Append(" — " + std::to_string(pipes) + " pipes");
     }
   }
 
@@ -1085,7 +1235,7 @@ class Checker {
           if (Exhausted()) return;
         }
       }
-      scope.node->label += " — " + std::to_string(timers) + " pending timers";
+      scope.Append(" — " + std::to_string(timers) + " pending timers");
     }
   }
 
@@ -1118,7 +1268,7 @@ class Checker {
             Violate(pwq, "pool_workqueue without a worker_pool");
           }
         }
-        scope.node->label += " — " + std::to_string(pwqs) + " pwqs";
+        scope.Append(" — " + std::to_string(pwqs) + " pwqs");
       }
     }
     uint64_t pools = 0;
@@ -1166,8 +1316,8 @@ class Checker {
         Violate(pool + off_nr_workers, "worker_pool nr_running " + std::to_string(*running) +
                                            " exceeds nr_workers " + std::to_string(*nr));
       }
-      scope.node->label +=
-          " — " + std::to_string(pending) + " pending, " + std::to_string(workers) + " workers";
+      scope.Append(" — " + std::to_string(pending) + " pending, " + std::to_string(workers) +
+                   " workers");
     }
   }
 
@@ -1175,12 +1325,12 @@ class Checker {
   const dbg::SymbolTable* symbols_;
   dbg::ReadSession* session_;
   const std::vector<uint64_t>* suspects_;
-  CheckRuleReport* report_;
-  std::vector<CheckExplainNode*> stack_;
-  std::deque<CheckExplainNode> scratch_;
+  SweepState* state_;
+  std::vector<Sink*> sinks_;
+  const uint64_t deferrals0_;  // session deferrals when the attempt started
   std::vector<std::string> trail_;
   std::unordered_set<std::string> meta_reported_;
-  bool truncated_ = false;
+  bool strict_only_ = false;
 };
 
 }  // namespace
@@ -1266,6 +1416,8 @@ vl::Json CheckReport::ToJson() const {
   j["bytes"] = vl::Json::Int(static_cast<int64_t>(bytes));
   j["charged_ns"] = vl::Json::Int(static_cast<int64_t>(charged_ns));
   j["sync_ns"] = vl::Json::Int(static_cast<int64_t>(sync_ns));
+  j["batches"] = vl::Json::Int(static_cast<int64_t>(batches));
+  j["batch_ns"] = vl::Json::Int(static_cast<int64_t>(batch_ns));
   j["clock_delta_ns"] = vl::Json::Int(static_cast<int64_t>(clock_delta_ns));
   j["reconciled"] = vl::Json::Bool(reconciled);
   vl::Json rs = vl::Json::Array();
@@ -1296,8 +1448,8 @@ std::string CheckReport::RenderText() const {
     }
   }
   out += "vcheck: " + std::to_string(rules_run()) + " rule(s) run, " +
-         std::to_string(violations()) + " violation(s), " +
-         std::to_string(charged_ns + sync_ns) + " ns charged (" +
+         std::to_string(violations()) + " violation(s), " + std::to_string(batches) +
+         " batch(es), " + std::to_string(charged_ns + sync_ns + batch_ns) + " ns charged (" +
          (reconciled ? "reconciles" : "DOES NOT reconcile") + " with Target::clock())\n";
   return out;
 }
@@ -1307,7 +1459,8 @@ namespace {
 constexpr std::pair<const char*, uint64_t CheckStats::*> kCheckStatsFields[] = {
     {"sweeps", &CheckStats::sweeps},         {"rules_run", &CheckStats::rules_run},
     {"violations", &CheckStats::violations}, {"reads", &CheckStats::reads},
-    {"read_bytes", &CheckStats::read_bytes}, {"charged_ns", &CheckStats::charged_ns},
+    {"read_bytes", &CheckStats::read_bytes}, {"batches", &CheckStats::batches},
+    {"batch_ns", &CheckStats::batch_ns},     {"charged_ns", &CheckStats::charged_ns},
 };
 
 }  // namespace
@@ -1318,7 +1471,9 @@ void CheckStats::Add(const CheckReport& report) {
   violations += report.violations();
   reads += report.reads;
   read_bytes += report.bytes;
-  charged_ns += report.charged_ns + report.sync_ns;
+  batches += report.batches;
+  batch_ns += report.batch_ns;
+  charged_ns += report.charged_ns + report.sync_ns + report.batch_ns;
 }
 
 CheckStats& CheckStats::operator+=(const CheckStats& other) {
@@ -1357,25 +1512,129 @@ void CheckEngine::AddSuspect(uint64_t addr) { suspects_.push_back(addr); }
 
 void CheckEngine::ClearSuspects() { suspects_.clear(); }
 
-CheckRuleReport CheckEngine::ExecuteRule(size_t idx) {
+namespace {
+
+constexpr size_t kRuleSlabFreelist = 4;  // VC005
+constexpr size_t kRuleSlabPoison = 5;    // VC006
+
+CheckRuleReport NewReport(size_t idx) {
   const CheckRuleInfo& info = CatalogImpl()[idx];
   CheckRuleReport report;
   report.id = info.id;
   report.name = info.name;
   report.explain.label = std::string(info.id) + " " + info.name;
-  dbg::Target* target = session_->target();
-  const uint64_t ns0 = target->clock().nanos();
-  const uint64_t reads0 = target->reads();
-  const uint64_t bytes0 = target->bytes_read();
-  {
-    Checker checker(types_, symbols_, session_, &suspects_, &report);
-    checker.Run(idx);
-  }
-  report.charged_ns = target->clock().nanos() - ns0;
-  report.reads = target->reads() - reads0;
-  report.bytes = target->bytes_read() - bytes0;
   return report;
 }
+
+// The rule attempts of one sweep. Each rule's report keeps the findings of
+// its last attempt that did not stop on a deferred read, and the charges of
+// all its attempts.
+class SweepRun {
+ public:
+  SweepRun(const dbg::TypeRegistry* types, const dbg::SymbolTable* symbols,
+           dbg::ReadSession* session, const std::vector<uint64_t>* suspects)
+      : types_(types), symbols_(symbols), session_(session), suspects_(suspects) {
+    for (size_t i = 0; i < CatalogImpl().size(); ++i) {
+      reports_.push_back(NewReport(i));
+    }
+  }
+
+  // Runs one attempt of every rule in `pending` (catalog order) and returns
+  // those that stopped on a deferred read.
+  std::vector<size_t> Attempt(const std::vector<size_t>& pending) {
+    if (state_.slab_walk && state_.slab_walk->deferred) {
+      state_.slab_walk.reset();  // walk again, after the batch
+    }
+    const bool poison_pending =
+        std::find(pending.begin(), pending.end(), kRuleSlabPoison) != pending.end();
+    std::vector<size_t> stopped;
+    dbg::Target* target = session_->target();
+    for (size_t idx : pending) {
+      const uint64_t ns0 = target->clock().nanos();
+      const uint64_t reads0 = target->reads();
+      const uint64_t bytes0 = target->bytes_read();
+      const uint64_t deferrals0 = session_->deferrals();
+      CheckRuleReport attempt = NewReport(idx);
+      if (idx == kRuleSlabFreelist) {
+        SlabFreelist(&attempt, poison_pending);
+      } else if (idx == kRuleSlabPoison) {
+        SlabPoison(&attempt);
+      } else {
+        Sink sink(&attempt, /*is_strict=*/true);
+        Checker checker(types_, symbols_, session_, suspects_, &state_, {&sink});
+        checker.Run(idx);
+        Checker::Finish(&sink);
+      }
+      CheckRuleReport& report = reports_[idx];
+      report.charged_ns += target->clock().nanos() - ns0;
+      report.reads += target->reads() - reads0;
+      report.bytes += target->bytes_read() - bytes0;
+      if (session_->deferrals() != deferrals0 ||
+          (idx == kRuleSlabPoison && state_.slab_walk->deferred)) {
+        stopped.push_back(idx);
+        continue;
+      }
+      report.violations = std::move(attempt.violations);
+      report.explain = std::move(attempt.explain);
+    }
+    return stopped;
+  }
+
+  CheckRuleReport Take(size_t idx) { return std::move(reports_[idx]); }
+
+ private:
+  // VC005: the strict slab walk. When VC006 runs in the same pass and has no
+  // walk yet, the walk feeds it too.
+  void SlabFreelist(CheckRuleReport* attempt, bool poison_pending) {
+    Sink strict(attempt, /*is_strict=*/true);
+    std::vector<Sink*> sinks = {&strict};
+    std::optional<CheckRuleReport> poison;
+    std::optional<Sink> lenient;
+    if (poison_pending && !state_.slab_walk) {
+      poison.emplace(NewReport(kRuleSlabPoison));
+      lenient.emplace(&*poison, /*is_strict=*/false);
+      sinks.push_back(&*lenient);
+    }
+    const uint64_t deferrals0 = session_->deferrals();
+    Checker checker(types_, symbols_, session_, suspects_, &state_, std::move(sinks));
+    std::vector<CacheInfo> caches = checker.WalkCaches();
+    Checker::Finish(&strict);
+    if (lenient) {
+      caches.resize(lenient->caches);
+      state_.slab_walk = SlabWalk{std::move(caches), std::move(*poison), lenient->truncated,
+                                  session_->deferrals() != deferrals0};
+    }
+  }
+
+  // VC006: the poison scan and suspect audit over the pass's slab walk,
+  // walking the caches itself when no walk is at hand.
+  void SlabPoison(CheckRuleReport* attempt) {
+    if (!state_.slab_walk) {
+      Sink lenient(attempt, /*is_strict=*/false);
+      const uint64_t deferrals0 = session_->deferrals();
+      Checker checker(types_, symbols_, session_, suspects_, &state_, {&lenient});
+      std::vector<CacheInfo> caches = checker.WalkCaches();
+      caches.resize(lenient.caches);
+      state_.slab_walk = SlabWalk{std::move(caches), *attempt, lenient.truncated,
+                                  session_->deferrals() != deferrals0};
+    } else {
+      *attempt = state_.slab_walk->findings;
+    }
+    Sink sink(attempt, /*is_strict=*/false, state_.slab_walk->truncated);
+    Checker checker(types_, symbols_, session_, suspects_, &state_, {&sink});
+    checker.SlabPoison(state_.slab_walk->caches);
+    Checker::Finish(&sink);
+  }
+
+  const dbg::TypeRegistry* types_;
+  const dbg::SymbolTable* symbols_;
+  dbg::ReadSession* session_;
+  const std::vector<uint64_t>* suspects_;
+  SweepState state_;
+  std::vector<CheckRuleReport> reports_;  // by catalog index
+};
+
+}  // namespace
 
 CheckReport CheckEngine::Sweep(const CheckRuleInfo* only) {
   CheckReport report;
@@ -1384,10 +1643,37 @@ CheckReport CheckEngine::Sweep(const CheckRuleInfo* only) {
   const uint64_t clock_before = target->clock().nanos();
   session_->SyncEpoch();
   report.sync_ns = target->clock().nanos() - clock_before;
+  std::vector<size_t> selected;
   for (size_t i = 0; i < CatalogImpl().size(); ++i) {
     if (only == nullptr || &CatalogImpl()[i] == only) {
-      report.rules.push_back(ExecuteRule(i));
+      selected.push_back(i);
     }
+  }
+  SweepRun run(types_, symbols_, session_, &suspects_);
+  std::vector<size_t> pending = selected;
+  if (session_->cache_enabled()) {
+    // One deferring level (docs/checking.md#sweeping-after-a-kernel-step):
+    // every rule runs with the session deferring its misses and one batch
+    // fetches what they recorded. The level reports no stopped work, so the
+    // loop ends after that batch: a second level saved less transport time
+    // than its rule re-runs cost in host time (EXPERIMENTS.md "Batched
+    // sweeps").
+    dbg::ReadSession::LevelStats levels;
+    (void)session_->RunLevels(
+        "vcheck.level",
+        [&] {
+          pending = run.Attempt(pending);
+          return dbg::ReadSession::Level{};
+        },
+        &levels);
+    report.batches = levels.batches;
+    report.batch_ns = levels.batch_ns;
+  }
+  // The rules that stopped run again without deferring, as on the raw
+  // transport.
+  pending = run.Attempt(pending);
+  for (size_t idx : selected) {
+    report.rules.push_back(run.Take(idx));
   }
   for (const CheckRuleReport& r : report.rules) {
     report.charged_ns += r.charged_ns;
@@ -1395,7 +1681,8 @@ CheckReport CheckEngine::Sweep(const CheckRuleInfo* only) {
     report.bytes += r.bytes;
   }
   report.clock_delta_ns = target->clock().nanos() - clock_before;
-  report.reconciled = report.clock_delta_ns == report.charged_ns + report.sync_ns;
+  report.reconciled =
+      report.clock_delta_ns == report.charged_ns + report.sync_ns + report.batch_ns;
   return report;
 }
 

@@ -45,7 +45,11 @@
 //
 // Every sweep runs the rules it is asked for; after a kernel step the
 // session's delta refresh re-reads the stale blocks a sweep reads in one
-// batch (docs/caching.md#incremental-invalidation). Violations are
+// batch (docs/caching.md#incremental-invalidation). On a block cache the
+// rules first run with the session deferring their misses, and the blocks
+// they missed ride one vectored round trip before the rules that stopped run
+// again, as the extraction walker's levels do
+// (docs/checking.md#sweeping-after-a-kernel-step). Violations are
 // vl::Diagnostics carrying the offending address plus the traversal trail
 // and an explain tree of what the rule walked.
 
@@ -99,9 +103,11 @@ struct CheckViolation {
 struct CheckRuleReport {
   std::string id;
   std::string name;
-  uint64_t reads = 0;          // transport requests charged by the body
+  // Transport requests, bytes and virtual-clock charge of the rule body,
+  // summed over its attempts (a sweep's batches are the sweep's).
+  uint64_t reads = 0;
   uint64_t bytes = 0;
-  uint64_t charged_ns = 0;     // virtual-clock delta across the body
+  uint64_t charged_ns = 0;
   std::vector<CheckViolation> violations;
   CheckExplainNode explain;
 
@@ -113,11 +119,14 @@ struct CheckReport {
   std::vector<CheckRuleReport> rules;
   uint64_t charged_ns = 0;     // sum of per-rule body charges
   uint64_t sync_ns = 0;        // epoch sync / dirty-log query charge
+  uint64_t batches = 0;        // vectored round trips fetching the rules' misses
+  uint64_t batch_ns = 0;       // their charge
   uint64_t clock_delta_ns = 0; // Target::clock() delta across the sweep
-  uint64_t reads = 0;
+  uint64_t reads = 0;          // the rule bodies' own requests (batches aside)
   uint64_t bytes = 0;
-  // clock_delta_ns == charged_ns + sync_ns: every nanosecond the sweep put on
-  // the virtual clock is attributed to a rule body or the epoch sync.
+  // clock_delta_ns == charged_ns + sync_ns + batch_ns: every nanosecond the
+  // sweep put on the virtual clock is attributed to a rule body, the epoch
+  // sync or a batch.
   bool reconciled = false;
 
   size_t violations() const;
@@ -137,13 +146,16 @@ struct CheckStats {
   uint64_t sweeps = 0;
   uint64_t rules_run = 0;
   uint64_t violations = 0;
-  uint64_t reads = 0;
+  uint64_t reads = 0;       // the rule bodies' requests
   uint64_t read_bytes = 0;
-  uint64_t charged_ns = 0;  // rule bodies plus epoch syncs
+  uint64_t batches = 0;     // vectored round trips fetching the rules' misses
+  uint64_t batch_ns = 0;    // their charge
+  uint64_t charged_ns = 0;  // rule bodies, epoch syncs and batches
 
   void Add(const CheckReport& report);
   CheckStats& operator+=(const CheckStats& other);
-  // {"sweeps", "rules_run", "violations", "reads", "read_bytes", "charged_ns"}
+  // {"sweeps", "rules_run", "violations", "reads", "read_bytes", "batches",
+  //  "batch_ns", "charged_ns"}
   vl::Json ToJson() const;
 };
 
@@ -180,11 +192,9 @@ class CheckEngine {
   dbg::ReadSession* session() const { return session_; }
 
  private:
-  // One epoch sync, then every rule (or only `only`), reconciled against
-  // the clock.
+  // One epoch sync, then every rule (or only `only`) in levels, reconciled
+  // against the clock.
   CheckReport Sweep(const CheckRuleInfo* only);
-  // Executes rule `idx`, recording its charge.
-  CheckRuleReport ExecuteRule(size_t idx);
 
   const dbg::TypeRegistry* types_;
   const dbg::SymbolTable* symbols_;

@@ -339,6 +339,7 @@ void ReadSession::InsertBlock(uint64_t base, std::vector<uint8_t> bytes, size_t 
   block.touched = true;
   block.used = 0;
   block.refreshed = false;
+  block.batched = false;
 }
 
 void ReadSession::EraseBlock(uint64_t base) {
@@ -417,6 +418,7 @@ ReadSession::Block* ReadSession::ServeBlock(uint64_t base, size_t offset, size_t
   }
   const uint64_t fresh = SectorMask(offset, len) & ~block->used;
   if (fresh == 0) {
+    ServeBatched(block, hit);
     return block;  // used sectors are current
   }
   if (block->refreshed) {
@@ -430,9 +432,17 @@ ReadSession::Block* ReadSession::ServeBlock(uint64_t base, size_t offset, size_t
       return nullptr;
     }
   }
+  ServeBatched(block, hit);
   block->used |= fresh;
   stats_.used_bytes += static_cast<uint64_t>(std::popcount(fresh)) << sector_shift_;
   return block;
+}
+
+void ReadSession::ServeBatched(Block* block, bool* hit) {
+  if (block->batched) {
+    block->batched = false;
+    *hit = false;
+  }
 }
 
 bool ReadSession::Deferrable(uint64_t base) const {
@@ -563,7 +573,11 @@ vl::StatusOr<std::string> ReadSession::ReadCString(uint64_t addr, size_t max_len
   char chunk[64];
   while (out.size() < max_len) {
     size_t want = std::min(sizeof(chunk), max_len - out.size());
-    if (!ReadBytes(addr + out.size(), chunk, want).ok()) {
+    vl::Status status = ReadBytes(addr + out.size(), chunk, want);
+    if (IsDeferred(status)) {
+      return status;  // the byte-wise retry would only defer again
+    }
+    if (!status.ok()) {
       size_t ok = 0;
       while (ok < want && ReadBytes(addr + out.size() + ok, chunk + ok, 1).ok()) {
         ++ok;
@@ -645,15 +659,14 @@ ReadSession::SpanFetch ReadSession::FetchDeferred() {
   (void)target_->ReadVector(batch);
   out.batches = 1;
   stats_.vector_batches++;
-  // Refills first: inserting the new blocks below may evict LRU blocks.
+  // Refills first: inserting the new blocks below may evict LRU blocks. The
+  // read each block serves next is the miss it deferred, counted then.
   for (const BlockRead& read : ByBlock(batch, refills, block_shift_)) {
     if (!FinishRefill(read.base, read.ok, read.bytes)) {
       continue;
     }
     out.fetched_blocks++;
-    if (trace_flag_->load(std::memory_order_relaxed)) {
-      vl::Tracer::Instance().Annotate("cache.miss_bytes", static_cast<int64_t>(read.bytes));
-    }
+    blocks_.find(read.base)->second.batched = true;
   }
   for (size_t i = 0; i < missing.size(); ++i) {
     if (!batch[i].ok) {
@@ -665,13 +678,34 @@ ReadSession::SpanFetch ReadSession::FetchDeferred() {
     out.fetched_blocks++;
     stats_.vector_blocks++;
     stats_.fetched_bytes += batch[i].len;
-    if (trace_flag_->load(std::memory_order_relaxed)) {
-      vl::Tracer::Instance().Annotate("cache.miss_bytes", static_cast<int64_t>(batch[i].len));
-    }
     size_t lo = static_cast<size_t>(batch[i].addr - missing[i]);
     InsertBlock(missing[i], std::move(buffers[i]), lo, lo + batch[i].len);
+    blocks_.find(missing[i])->second.batched = true;
   }
   return out;
+}
+
+bool ReadSession::RunLevels(const char* span, const std::function<Level()>& level,
+                            LevelStats* stats) {
+  set_deferring(true);
+  const uint64_t evictions = stats_.evictions;
+  bool complete = true;
+  for (bool stopped = true; complete && stopped;) {
+    vl::ScopedSpan level_span(span);
+    stats->levels++;
+    const Level run = level();
+    const uint64_t ns0 = target_->clock().nanos();
+    const SpanFetch fetch = FetchDeferred();
+    stats->batch_ns += target_->clock().nanos() - ns0;
+    stats->batches += fetch.batches;
+    // A level that fetched nothing and got nowhere has stalled; one that
+    // evicted blocks may have dropped what a stopped reader waits for.
+    complete = !run.abort && stats_.evictions == evictions &&
+               (!run.stopped || fetch.fetched_blocks != 0 || run.advanced);
+    stopped = run.stopped;
+  }
+  set_deferring(false);
+  return complete;
 }
 
 void ReadSession::PrefetchObject(uint64_t addr, const Type* type) {

@@ -34,6 +34,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <string>
 #include <unordered_map>
@@ -90,9 +91,11 @@ struct CacheConfig {
 // `misses`.
 struct CacheStats {
   uint64_t hits = 0;            // block lookups served from cache
-  uint64_t misses = 0;          // block lookups that issued a transport fetch
+  // Block lookups that paid a round trip: a fetch or refill of their own, or
+  // the first read of a block a FetchDeferred batch fetched or refilled.
+  uint64_t misses = 0;
   uint64_t hit_bytes = 0;       // requested bytes served without a round trip
-  uint64_t miss_bytes = 0;      // requested bytes that triggered the fetch
+  uint64_t miss_bytes = 0;      // requested bytes of the misses
   uint64_t block_fetches = 0;   // transport round trips issued for blocks
   uint64_t fetched_bytes = 0;   // bytes pulled over the transport for blocks
   // Bytes of sectors a read returned for the first time since their block was
@@ -166,7 +169,9 @@ class ReadSession {
   // costs one base latency. A deferred read is not a failed read: a block the
   // batch cannot read is remembered as unreadable until the epoch moves, and
   // blocks known unreadable (or outside the readable ranges) are never
-  // deferred — reads of them take the exact-range fallback.
+  // deferred — reads of them take the exact-range fallback. The first read a
+  // block serves after a batch fetched or refilled it counts as the miss it
+  // deferred (CacheStats::misses/miss_bytes), not as a hit.
   void set_deferring(bool on) { deferring_ = on && cache_enabled(); }
   uint64_t deferrals() const { return deferrals_; }
   size_t deferred_blocks() const { return deferred_.size(); }
@@ -176,6 +181,28 @@ class ReadSession {
   bool WouldDefer(uint64_t addr, size_t len) const;
   SpanFetch FetchDeferred();
   static bool IsDeferred(const vl::Status& status);
+
+  // What one level of a RunLevels loop reports.
+  struct Level {
+    bool stopped = false;   // some work stopped on a deferred read: run it again
+    bool advanced = false;  // some work got further, batch or not
+    bool abort = false;     // give up now
+  };
+  // What a RunLevels loop did.
+  struct LevelStats {
+    uint64_t levels = 0;
+    uint64_t batches = 0;   // FetchDeferred batches issued
+    uint64_t batch_ns = 0;  // their virtual-clock charge
+  };
+  // The level loop of deferred-miss mode, shared by the extraction walker
+  // and the vcheck sweep: runs `level` with the session deferring, then
+  // fetches what it recorded in one FetchDeferred batch (both inside a span
+  // named `span`), and repeats while the level reports stopped work. Adds
+  // what it did to *stats. Returns false when it gave up with work stopped:
+  // the level aborted, a level with stopped work neither fetched a block nor
+  // advanced (it stalled), or a batch evicted blocks (a stopped reader may
+  // wait for one of them). Deferring is off again on return.
+  bool RunLevels(const char* span, const std::function<Level()>& level, LevelStats* stats);
 
   // Drops every cached block (does not touch stats counters except nothing).
   void InvalidateAll();
@@ -247,6 +274,9 @@ class ReadSession {
     // read that needs another sector first refills the rest of the readable
     // part, which clears the mark. Clear: the whole readable part is current.
     bool refreshed = false;
+    // Fetched or refilled by a FetchDeferred batch and not read since: the
+    // next read it serves is the miss that deferred, and clears the mark.
+    bool batched = false;
   };
 
   // Sectors per block: one bit each in Block::used (4 B sectors at the 256 B
@@ -286,8 +316,12 @@ class ReadSession {
   // with those sectors marked used. nullptr when the range cannot be served
   // from the cache (the block is unreadable, its refill failed, or the range
   // reaches past its readable part): the caller falls back to an exact-range
-  // read. `hit` reports whether no round trip was paid.
+  // read. `hit` reports whether the read is a hit: it paid no round trip, and
+  // no batch fetched or refilled the block for it.
   Block* ServeBlock(uint64_t base, size_t offset, size_t len, bool* hit);
+  // Counts the read a block serves first after a batch fetched or refilled it
+  // as a miss (*hit = false), clearing the block's mark.
+  void ServeBatched(Block* block, bool* hit);
   // The sectors covering [offset, offset+len) of a block (len > 0).
   uint64_t SectorMask(size_t offset, size_t len) const;
   // The sectors of the block's readable part.

@@ -127,7 +127,13 @@ vl::StatusOr<Session::PlotResult> Session::Plot(int pane, const std::string& pro
 }
 
 vl::Status Session::Apply(int pane, std::string_view viewql) {
-  return panes_.ApplyViewQl(pane, viewql);
+  // A raw-field WHERE reads target memory: control-plane work under the
+  // shard lock, charged to control_ns as a Plot is.
+  std::lock_guard<std::mutex> lock(shard_->mu);
+  uint64_t before = debugger_->target().clock().nanos();
+  vl::Status status = panes_.ApplyViewQl(pane, viewql);
+  shard_->control_ns += debugger_->target().clock().nanos() - before;
+  return status;
 }
 
 vl::StatusOr<int> Session::Split(int pane, char direction) {
@@ -804,6 +810,9 @@ vl::Json Server::StatsToJson() const {
       s["extractions"] = vl::Json::Int(static_cast<int64_t>(shard->extractions));
       s["engines"] = vl::Json::Int(static_cast<int64_t>(shard->engines.size()));
       s["control_ns"] = vl::Json::Int(static_cast<int64_t>(shard->control_ns));
+      // Flight reconciliation: charged_ns == control_ns + flights.service_sum_ns.
+      s["charged_ns"] = vl::Json::Int(
+          static_cast<int64_t>(shard->debugger->target().clock().nanos() - shard->clock0));
       s["target"] = shard->debugger->target().StatsToJson();
       s["cache"] = shard->debugger->session().StatsToJson();
       // The walker accounting of the engines that run under the shard lock:

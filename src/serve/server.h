@@ -123,6 +123,7 @@ class Session {
   // engine, per options) and installs the graph into `pane`.
   vl::StatusOr<PlotResult> Plot(int pane, const std::string& program);
   // Applies a ViewQL refinement to the pane (recorded; replayed on refresh).
+  // What it reads is control-plane work, charged like a Plot.
   vl::Status Apply(int pane, std::string_view viewql);
   vl::StatusOr<int> Split(int pane, char direction);
   // Renders the pane's current graph without refreshing.

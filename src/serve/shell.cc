@@ -601,12 +601,14 @@ std::string DebuggerShell::CmdStats(const std::string& args) {
   if (check["sweeps"].AsInt() > 0) {
     out += vl::StrFormat(
         "check: %lld sweep(s), %lld rule(s) run, %lld violation(s), "
-        "%lld reads (%lld ns charged)\n",
+        "%lld reads, %lld batches (%lld ns charged, %lld ns in batches)\n",
         static_cast<long long>(check["sweeps"].AsInt()),
         static_cast<long long>(check["rules_run"].AsInt()),
         static_cast<long long>(check["violations"].AsInt()),
         static_cast<long long>(check["reads"].AsInt()),
-        static_cast<long long>(check["charged_ns"].AsInt()));
+        static_cast<long long>(check["batches"].AsInt()),
+        static_cast<long long>(check["charged_ns"].AsInt()),
+        static_cast<long long>(check["batch_ns"].AsInt()));
   }
   vl::Json& walk = fleet["walk"];
   if (walk["runs"].AsInt() > 0) {

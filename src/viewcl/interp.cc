@@ -1219,34 +1219,31 @@ class Interpreter::RunState {
   // recorded and the stopped tasks retry in the next level. False when the
   // walk must give way to the recursive one.
   bool WalkLevels(Walk* walk, WalkStats* stats) {
-    dbg::ReadSession& session = dbg_->session();
-    session.set_deferring(true);
-    const uint64_t evictions = session.cache_stats().evictions;
-    bool complete = true;
-    while (complete && !walk->queue.empty()) {
-      vl::ScopedSpan level_span("viewcl.batch");
-      stats->levels++;
-      size_t progress = walk->progress + walk->tasks.size();
-      std::vector<Task*> stopped;
-      // The queue grows as this level's tasks discover children: they run in
-      // this level too, so their objects join its batch.
-      for (size_t i = 0; i < walk->queue.size() && complete; ++i) {
-        RunTask(walk->queue[i]);
-        if (!walk->queue[i]->done) {
-          stopped.push_back(walk->queue[i]);
-        }
-        complete = walk->boxes < in_->limits_.max_boxes;  // else the limit would trip
-      }
-      dbg::ReadSession::SpanFetch fetch = session.FetchDeferred();
-      stats->batches += fetch.batches;
-      // A level that fetched nothing and got nowhere has stalled; one that
-      // evicted blocks may have dropped what a stopped task waits for.
-      complete = complete && session.cache_stats().evictions == evictions &&
-                 (stopped.empty() || fetch.fetched_blocks != 0 ||
-                  walk->progress + walk->tasks.size() != progress);
-      walk->queue = std::move(stopped);
-    }
-    session.set_deferring(false);
+    dbg::ReadSession::LevelStats levels;
+    const bool complete = dbg_->session().RunLevels(
+        "viewcl.batch",
+        [&] {
+          size_t progress = walk->progress + walk->tasks.size();
+          std::vector<Task*> stopped;
+          bool limit = false;
+          // The queue grows as this level's tasks discover children: they
+          // run in this level too, so their objects join its batch.
+          for (size_t i = 0; i < walk->queue.size() && !limit; ++i) {
+            RunTask(walk->queue[i]);
+            if (!walk->queue[i]->done) {
+              stopped.push_back(walk->queue[i]);
+            }
+            limit = walk->boxes >= in_->limits_.max_boxes;  // the limit would trip
+          }
+          walk->queue = std::move(stopped);
+          return dbg::ReadSession::Level{
+              .stopped = !walk->queue.empty(),
+              .advanced = walk->progress + walk->tasks.size() != progress,
+              .abort = limit};
+        },
+        &levels);
+    stats->levels += levels.levels;
+    stats->batches += levels.batches;
     return complete;
   }
 

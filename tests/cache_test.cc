@@ -280,6 +280,40 @@ TEST_F(CacheTest, FetchDeferredFetchesThemAllInOneBatch) {
   EXPECT_EQ(session.FetchDeferred().batches, 0u);
 }
 
+// A batch pays the round trip the deferred read would have paid: the first
+// read of each block it fetched is that miss, the next one a hit.
+TEST_F(CacheTest, FirstReadOfABatchedBlockIsTheMiss) {
+  ReadSession session(&target_, CacheConfig{256, 64});
+  session.set_deferring(true);
+  uint64_t value = 0;
+  for (uint64_t addr : {0x100, 0x900}) {
+    EXPECT_TRUE(ReadSession::IsDeferred(session.ReadBytes(addr, &value, 8)));
+  }
+  ASSERT_EQ(session.FetchDeferred().fetched_blocks, 2u);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (uint64_t addr : {0x100, 0x900}) {
+      ASSERT_TRUE(session.ReadBytes(addr, &value, 8).ok());
+    }
+  }
+  const CacheStats& stats = session.cache_stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.miss_bytes, 16u);
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.hit_bytes, 16u);
+  EXPECT_EQ(target_.reads(), 1u);
+}
+
+// A string read that defers returns the deferral at once: retrying it byte by
+// byte would only defer again.
+TEST_F(CacheTest, DeferredCStringDefersOnce) {
+  ReadSession session(&target_, CacheConfig{256, 64});
+  session.set_deferring(true);
+  vl::StatusOr<std::string> name = session.ReadCString(0x100, 32);
+  EXPECT_TRUE(ReadSession::IsDeferred(name.status())) << name.status().ToString();
+  EXPECT_EQ(session.deferrals(), 1u);
+  EXPECT_EQ(target_.reads(), 0u);
+}
+
 // A block a batch could not read is not deferred again: later reads of it
 // take the exact-range fallback, so a walker retrying them makes progress.
 TEST_F(CacheTest, UnreadableBlockDoesNotDeferForever) {

@@ -401,6 +401,25 @@ TEST_F(WalkerTest, ResetStatsClearsVectorCounters) {
   EXPECT_EQ(interp.walk_stats().batches, 0u);
 }
 
+// A cold walker paint fetches its blocks in level batches, and the first read
+// of each is a miss: the hit rate tells the truth.
+TEST_F(WalkerTest, ColdPaintCountsItsBatchedMisses) {
+  vserve::Server server;
+  ASSERT_TRUE(server.BootShard("k0", dbg::LatencyModel::GdbQemu()).ok());
+  auto client = server.Connect();
+  ASSERT_TRUE(client.ok());
+  vserve::DebuggerShell shell((*client).session());
+  ASSERT_NE(shell.Execute("vplot 1 --auto task_struct &init_task").find("pane 1"),
+            std::string::npos);
+  std::string stats = shell.Execute("vctrl stats");
+  EXPECT_EQ(stats.find("0 misses (100.0% hit rate)"), std::string::npos) << stats;
+  const dbg::CacheStats& cache = server.shard_debugger("k0")->session().cache_stats();
+  EXPECT_EQ(cache.block_fetches, 0u);
+  EXPECT_GT(cache.vector_blocks, 0u);
+  EXPECT_GT(cache.miss_bytes, 0u);
+  EXPECT_GT(cache.misses, 0u);
+}
+
 // The serving surfaces: `vctrl stats` grows a walk: line, the stats JSON
 // carries the per-shard and fleet walk counts, and Server::ResetStats zeroes
 // them. The retired `vctrl plan` is an unknown subcommand.

@@ -79,9 +79,11 @@ SweepOutcome RunSweep(analysis::CheckEngine* engine, const std::string& rule, bo
   } else if (outcome.violations > 0 || !outcome.reconciled) {
     std::printf("--- %s ---\n%s", tag, report.RenderText().c_str());
   } else {
-    std::printf("%s: clean (%zu rules, %llu reads, %llu ns, reconciled)\n", tag,
+    std::printf("%s: clean (%zu rules, %llu reads, %llu batches, %llu ns, reconciled)\n", tag,
                 report.rules_run(), static_cast<unsigned long long>(report.reads),
-                static_cast<unsigned long long>(report.charged_ns + report.sync_ns));
+                static_cast<unsigned long long>(report.batches),
+                static_cast<unsigned long long>(report.charged_ns + report.sync_ns +
+                                                report.batch_ns));
   }
   return outcome;
 }
