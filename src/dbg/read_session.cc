@@ -277,32 +277,12 @@ bool ReadSession::RangeCleanSince(uint64_t addr, size_t len, uint64_t epoch) con
   return true;
 }
 
-void ReadSession::PushPageScope() { page_scopes_.emplace_back(); }
-
-std::vector<uint64_t> ReadSession::PopPageScope() {
-  std::unordered_set<uint64_t> top = std::move(page_scopes_.back());
-  page_scopes_.pop_back();
-  if (!page_scopes_.empty()) {
-    page_scopes_.back().insert(top.begin(), top.end());
-  }
-  return std::vector<uint64_t>(top.begin(), top.end());
-}
-
-void ReadSession::NotePages(const std::vector<uint64_t>& pages) {
-  if (page_scopes_.empty()) {
-    return;
-  }
-  page_scopes_.back().insert(pages.begin(), pages.end());
-}
-
-void ReadSession::RecordPages(uint64_t addr, size_t len) {
-  if (len == 0) {
-    return;
-  }
-  std::unordered_set<uint64_t>& top = page_scopes_.back();
+void ReadSession::LogPages(uint64_t addr, size_t len) {
   uint64_t first = addr & ~(kPageGranule - 1);
   for (uint64_t granule = first; granule < addr + len; granule += kPageGranule) {
-    top.insert(granule);
+    if (page_log_->empty() || page_log_->back() != granule) {
+      page_log_->push_back(granule);
+    }
   }
 }
 
@@ -491,8 +471,8 @@ bool ReadSession::DeferMisses(uint64_t addr, size_t len, bool refill) {
 }
 
 vl::Status ReadSession::ReadBytes(uint64_t addr, void* out, size_t len) {
-  if (!page_scopes_.empty()) {
-    RecordPages(addr, len);
+  if (page_log_ != nullptr && len != 0) {
+    LogPages(addr, len);
   }
   if (!cache_enabled() || len == 0) {
     return target_->ReadBytes(addr, out, len);

@@ -39,6 +39,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/dbg/target.h"
@@ -223,15 +224,13 @@ class ReadSession {
   // transition handled by a blind full flush) reports dirty.
   bool RangeCleanSince(uint64_t addr, size_t len, uint64_t epoch) const;
 
-  // Page-access scopes (viewcl memoization): while at least one scope is
-  // open, every byte range read through this session is recorded
-  // page-granularly into the innermost scope. PopPageScope returns the
-  // scope's pages and merges them into the parent scope, so a box's scope
-  // ends up covering its whole subtree. NotePages merges replayed pages
-  // (from a memo hit, which performs no reads) into the open scope.
-  void PushPageScope();
-  std::vector<uint64_t> PopPageScope();
-  void NotePages(const std::vector<uint64_t>& pages);
+  // The page log (viewcl memoization): while one is set, every ReadBytes,
+  // deferred or not, appends the granules of its range to it, skipping a
+  // repeat of the last entry. The log's owner dedupes it. Returns the log
+  // it replaces (nullptr: none), for the caller to restore.
+  std::vector<uint64_t>* set_page_log(std::vector<uint64_t>* log) {
+    return std::exchange(page_log_, log);
+  }
 
   bool cache_enabled() const { return config_.block_bytes != 0; }
   const CacheConfig& config() const { return config_; }
@@ -242,17 +241,6 @@ class ReadSession {
   void ResetCacheStats() { stats_ = CacheStats{}; }
   // Cache-side stats only; Target::StatsToJson() has the transport side.
   vl::Json StatsToJson() const;
-
-  // Read attribution: forwards to Target's tag so per-type counters keep
-  // working (block fetches are charged to the type whose walk misses).
-  class TagScope {
-   public:
-    TagScope(ReadSession* session, const char* tag)
-        : inner_(session->target(), tag) {}
-
-   private:
-    Target::TagScope inner_;
-  };
 
  private:
   struct Block {
@@ -287,7 +275,7 @@ class ReadSession {
   // the cache for nothing; one flush is cheaper and just as correct.
   static constexpr double kMaxDirtyRatio = 0.5;
 
-  // Granularity of page-epoch bookkeeping (RangeCleanSince, page scopes).
+  // Granularity of page-epoch bookkeeping (RangeCleanSince, the page log).
   // Dirty pages a domain reports at another page size are expanded/aligned
   // to these granules.
   static constexpr uint64_t kPageGranule = 4096;
@@ -305,8 +293,8 @@ class ReadSession {
   void RefreshStale(const std::vector<uint64_t>& stale);
   // Full flush with accounting (the classic epoch contract).
   void FullInvalidate();
-  // Records the granules of [addr, addr+len) into the innermost page scope.
-  void RecordPages(uint64_t addr, size_t len);
+  // Appends the granules of [addr, addr+len) (len > 0) to the page log.
+  void LogPages(uint64_t addr, size_t len);
   // Returns the cached block with base address `base`, fetching it on miss.
   // nullptr if the block cannot be read (caller falls back to a direct
   // ranged read). `hit` reports whether the block was already present.
@@ -381,8 +369,7 @@ class ReadSession {
   // dirty): the session's start epoch, raised past any transition handled
   // without dirty info.
   uint64_t dirty_floor_ = 0;
-  // Open page-access scopes (innermost last).
-  std::vector<std::unordered_set<uint64_t>> page_scopes_;
+  std::vector<uint64_t>* page_log_ = nullptr;  // not owned; see set_page_log
 };
 
 }  // namespace dbg

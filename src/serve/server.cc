@@ -752,14 +752,6 @@ vl::StatusOr<ServeResult> Server::ExecuteRefresh(const Request& req) {
     std::lock_guard<std::mutex> cache_lock(shard->cache_mu);
     shard->cache.Insert(key, out);
   }
-  if (session->recorder_.enabled()) {
-    session->recorder_.Record(
-        "serve.refresh",
-        {{"pane", pane},
-         {"refresh_ns", static_cast<int64_t>(out.refresh_ns)},
-         {"charged_ns", static_cast<int64_t>(session->charged_ns())},
-         {"deduped", 0}});
-  }
   if (record) {
     flight.outcome = out.render_reused ? FlightOutcome::kRenderReused
                      : session->last_memo_replays_ > 0 ? FlightOutcome::kMemoReplay

@@ -6,7 +6,6 @@
 #include <iterator>
 #include <optional>
 #include <tuple>
-#include <unordered_set>
 
 #include "src/support/str.h"
 #include "src/support/trace.h"
@@ -154,7 +153,9 @@ struct Interpreter::Task {
     std::vector<Event> events;
   };
   std::map<std::tuple<const Expr*, uint64_t, const dbg::Type*, int>, Yield> yields;
-  std::unordered_set<uint64_t> pages;  // granules the task's attempts read
+  // Granules the task's attempts read (ReadSession's page log), sorted and
+  // deduped once the task is done.
+  std::vector<uint64_t> pages;
   int max_depth = 0;  // deepest evaluation, relative to the box
   int runs = 0;
   bool done = false;
@@ -209,7 +210,12 @@ class Interpreter::RunState {
         out_(std::make_unique<ViewGraph>()),
         graph_(out_.get()) {
     ResolveWellKnownOffsets();
+    // Memo captures take their pages from this run's log. The recursive
+    // fallback runs inside a batched run, so the log a run replaces comes
+    // back when it ends.
+    outer_log_ = dbg_->session().set_page_log(MemoEnabled() ? &page_log_ : nullptr);
   }
+  ~RunState() { dbg_->session().set_page_log(outer_log_); }
 
   // The recursive walk: each box is evaluated where it is first referenced.
   vl::StatusOr<std::unique_ptr<ViewGraph>> RunRecursive() {
@@ -924,31 +930,6 @@ class Interpreter::RunState {
 
   // --- box instantiation ---
 
-  // Opens a ReadSession page scope for a memo capture; pops it on every exit
-  // path so error returns inside the instantiation can't leak a scope.
-  class PageScopeGuard {
-   public:
-    explicit PageScopeGuard(dbg::ReadSession* session) : session_(session) {
-      session_->PushPageScope();
-    }
-    ~PageScopeGuard() {
-      if (session_ != nullptr) {
-        (void)session_->PopPageScope();
-      }
-    }
-    PageScopeGuard(const PageScopeGuard&) = delete;
-    PageScopeGuard& operator=(const PageScopeGuard&) = delete;
-    // Closes the scope and hands back its pages (subtree read coverage).
-    std::vector<uint64_t> Finish() {
-      dbg::ReadSession* session = session_;
-      session_ = nullptr;
-      return session->PopPageScope();
-    }
-
-   private:
-    dbg::ReadSession* session_;
-  };
-
   // Memoizes per-box extraction across Run() calls, replaying structurally
   // unchanged subtrees without re-walking them. Engages only when the
   // session's dirty log can prove a snapshot is still valid (delta
@@ -1005,11 +986,10 @@ class Interpreter::RunState {
       misses_++;
     }
     size_t window_start = graph_->size();
+    size_t log_start = page_log_.size();
     uint64_t capture_epoch = 0;
-    std::optional<PageScopeGuard> memo_scope;
     if (memoize) {
       capture_epoch = dbg_->session().SyncEpoch();
-      memo_scope.emplace(&dbg_->session());
     }
 
     VBox* box = NewBox(decl->name, decl->kernel_type, addr, object_size);
@@ -1039,18 +1019,18 @@ class Interpreter::RunState {
       // ("viewcl.box.task_struct") makes the member walk attributable in the
       // explain tree.
       std::optional<vl::ScopedNamedSpan> box_span;
-      std::optional<dbg::ReadSession::TagScope> read_tag;
+      std::optional<dbg::Target::TagScope> read_tag;
       if (!is_virtual) {
         if (vl::Tracer::Instance().enabled()) {
           box_span.emplace("viewcl.box." + decl->kernel_type);
         }
-        read_tag.emplace(&dbg_->session(), decl->kernel_type.c_str());
+        read_tag.emplace(&dbg_->target(), decl->kernel_type.c_str());
         dbg_->session().PrefetchObject(addr, type);
       }
       VL_RETURN_IF_ERROR(EvalBody(decl, box, lexical, type, depth));
     }
     if (memoize) {
-      CaptureMemo(decl, addr, window_start, capture_epoch, memo_scope->Finish());
+      CaptureMemo(decl, addr, window_start, capture_epoch, log_start);
     }
     return VclValue::Box(box->id());
   }
@@ -1266,19 +1246,18 @@ class Interpreter::RunState {
     task_ = task;
     graph_ = &task->local;
     Scope box_scope;
-    std::optional<dbg::ReadSession::TagScope> read_tag;
+    std::optional<dbg::Target::TagScope> read_tag;
     if (decl != nullptr) {
-      read_tag.emplace(&session, decl->kernel_type.c_str());
+      read_tag.emplace(session.target(), decl->kernel_type.c_str());
       if (type != nullptr) {
         box_scope.Set("this", VclValue::Dbg(Value::MakeLValue(type, task->addr)));
       }
     }
-    // The pages an attempt reads go to the box's memo capture. A step that
+    // The pages an attempt reads go to the task's record, for the memo
+    // captures its replay joins; the top level logs none. A step that
     // deferred reads no page its completed retry does not.
-    const bool track_pages = decl != nullptr && MemoEnabled();
-    if (track_pages) {
-      session.PushPageScope();
-    }
+    std::vector<uint64_t>* run_log =
+        session.set_page_log(decl != nullptr && MemoEnabled() ? &task->pages : nullptr);
     std::optional<Scope> view_scope;
     int current_view = -1;
     bool stopped = false;
@@ -1319,11 +1298,11 @@ class Interpreter::RunState {
       result = std::move(attempt);
       walk_->progress++;
     }
-    if (track_pages) {
-      std::vector<uint64_t> pages = session.PopPageScope();
-      task->pages.insert(pages.begin(), pages.end());
-    }
+    session.set_page_log(run_log);
     task->done = !stopped;
+    if (task->done) {
+      Dedupe(&task->pages, 0);
+    }
     task_ = nullptr;
     graph_ = out_.get();
   }
@@ -1425,8 +1404,8 @@ class Interpreter::RunState {
       remap(&views);
       own->views() = std::move(views);
       // The record performed the box's own reads; their pages belong to the
-      // memo capture in progress.
-      dbg_->session().NotePages(std::vector<uint64_t>(task->pages.begin(), task->pages.end()));
+      // memo captures in progress.
+      page_log_.insert(page_log_.end(), task->pages.begin(), task->pages.end());
     }
   }
 
@@ -1483,7 +1462,7 @@ class Interpreter::RunState {
     }
     // The replay performed no reads; its page coverage still belongs to any
     // enclosing capture in progress.
-    dbg_->session().NotePages(memo.pages);
+    page_log_.insert(page_log_.end(), memo.pages.begin(), memo.pages.end());
     return new_base;
   }
 
@@ -1500,15 +1479,18 @@ class Interpreter::RunState {
   }
 
   // Snapshots the boxes created in [window_start, graph size) as the memo
-  // for (decl, addr). Gives up (storing nothing) if the subtree references
-  // an out-of-window box that carries no intern key — such a reference could
-  // not be resolved in a future run.
+  // for (decl, addr), with the pages logged from log_start on. Gives up
+  // (storing nothing) if the subtree references an out-of-window box that
+  // carries no intern key — such a reference could not be resolved in a
+  // future run.
   void CaptureMemo(const BoxDecl* decl, uint64_t addr, size_t window_start,
-                   uint64_t epoch, std::vector<uint64_t> pages) {
+                   uint64_t epoch, size_t log_start) {
+    // Deduped in place: the range of every enclosing capture covers it.
+    Dedupe(&page_log_, log_start);
     BoxMemo memo;
     memo.epoch = epoch;
     memo.base = window_start;
-    memo.pages = std::move(pages);
+    memo.pages.assign(page_log_.begin() + log_start, page_log_.end());
     size_t end = graph_->size();
     memo.boxes.reserve(end - window_start);
     for (size_t id = window_start; id < end; ++id) {
@@ -1541,6 +1523,13 @@ class Interpreter::RunState {
       }
     }
     memo_updates_.emplace_back(std::make_pair(decl, addr), std::move(memo));
+  }
+
+  // Sorts the pages from `from` on and drops the repeats among them.
+  static void Dedupe(std::vector<uint64_t>* pages, size_t from) {
+    auto first = pages->begin() + from;
+    std::sort(first, pages->end());
+    pages->erase(std::unique(first, pages->end()), pages->end());
   }
 
   bool NoteMemoRef(BoxMemo* memo, uint64_t target, size_t start, size_t end) {
@@ -1717,6 +1706,10 @@ class Interpreter::RunState {
   std::vector<std::pair<InternKey, std::optional<BoxMemo>>> memo_updates_;
   uint64_t replays_ = 0;
   uint64_t misses_ = 0;
+  // This run's page log: the granules its reads and replays touched, in
+  // order. A capture dedupes the part logged since its box started.
+  std::vector<uint64_t> page_log_;
+  std::vector<uint64_t>* outer_log_ = nullptr;  // the session's log before this run
 
   size_t off_list_next_ = 0;
   size_t off_hlist_first_ = 0;

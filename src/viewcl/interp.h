@@ -147,7 +147,8 @@ class Interpreter {
     std::map<uint64_t, InternKey> externals;
     // Window-local id -> intern key to re-register on replay.
     std::vector<std::pair<uint64_t, InternKey>> interns;
-    // Page bases (ReadSession granules) the subtree's reads touched.
+    // Page bases (ReadSession granules) the subtree's reads touched, sorted
+    // and deduped: the run's page log from the box's start to its capture.
     std::vector<uint64_t> pages;
   };
 

@@ -354,6 +354,33 @@ TEST_F(CacheTest, EpochChangeClearsTheUnreadableSet) {
   EXPECT_EQ(session.deferred_blocks(), 1u);
 }
 
+// --- the page log (memo page tracking) --------------------------------------
+
+// While a log is set, every read appends the 4 KiB granules of its range,
+// deferred reads included, skipping a repeat of the last entry.
+TEST_F(CacheTest, PageLogAppendsTheGranulesOfEachRead) {
+  constexpr uint64_t kGranule = 4096;
+  ReadSession session(&target_, CacheConfig{256, 64});
+  std::vector<uint64_t> log;
+  EXPECT_EQ(session.set_page_log(&log), nullptr);
+  uint64_t value = 0;
+  ASSERT_TRUE(session.ReadBytes(kGranule - 4, &value, 8).ok());  // spans two granules
+  EXPECT_EQ(log, (std::vector<uint64_t>{0, kGranule}));
+  ASSERT_TRUE(session.ReadBytes(kGranule + 8, &value, 8).ok());
+  ASSERT_TRUE(session.ReadBytes(kGranule + 16, &value, 8).ok());
+  EXPECT_EQ(log, (std::vector<uint64_t>{0, kGranule}));
+
+  session.set_deferring(true);
+  EXPECT_TRUE(ReadSession::IsDeferred(session.ReadBytes(5 * kGranule, &value, 8)));
+  EXPECT_EQ(log, (std::vector<uint64_t>{0, kGranule, 5 * kGranule}));
+  session.set_deferring(false);
+
+  // With no log set, reads log nothing.
+  EXPECT_EQ(session.set_page_log(nullptr), &log);
+  ASSERT_TRUE(session.ReadBytes(9 * kGranule, &value, 8).ok());
+  EXPECT_EQ(log, (std::vector<uint64_t>{0, kGranule, 5 * kGranule}));
+}
+
 // A flat memory that reports its readable range, like the kernel arena.
 class RangedMemory : public FlatMemory {
  public:

@@ -594,7 +594,7 @@ TEST(DeltaRefreshTest, RefreshIsChargedToTheCacheNotTheReader) {
   tracer.Clear();
   tracer.Enable();
   {
-    ReadSession::TagScope tag(&session, "task_struct");
+    Target::TagScope tag(&target, "task_struct");
     ASSERT_TRUE(session.ReadUnsigned(0, 8).ok());
     memory.Mutate(8, 0x33);
     ASSERT_TRUE(session.ReadUnsigned(0, 8).ok());  // notices the epoch change
@@ -984,6 +984,104 @@ TEST_F(IncrementalKernelTest, MemoReplaysCleanSubtreesOnRefresh) {
   EXPECT_GT(interp.walk_stats().memo_replays, 0u);
   vision::AsciiRenderer renderer;
   EXPECT_EQ(renderer.Render(**first), renderer.Render(**second));
+}
+
+// Memo coverage: a box's memo holds the pages of its whole subtree, so a write
+// to a page only a grandchild reads makes the root's memo miss. The chain is
+// an ext4 file's dentry -> its inode -> the super_block, and only the
+// super_block box reads s_id. With `recapture`, a write to the inode first
+// re-captures the root and the inode while the super_block replays from its
+// clean memo, so the s_id write reaches the root only through that replay.
+// With `recursive`, an unreferenced box whose view inherits an unknown view
+// keeps the program on the recursive walk.
+void ExpectRootMemoCoversGrandchild(vkern::Kernel* kernel, bool recapture, bool recursive) {
+  vkern::super_block* sb = kernel->ext4_sb();
+  // The dirty log reports the arena page a write lands on, which straddles
+  // two granules: the dentry and the inode must sit two pages or more from
+  // s_id.
+  auto far = [&](const void* p) {
+    const uint64_t page = reinterpret_cast<uint64_t>(p) / kPage;
+    const uint64_t s_id_page = reinterpret_cast<uint64_t>(sb->s_id) / kPage;
+    return page + 1 < s_id_page || page > s_id_page + 1;
+  };
+  vkern::dentry* root = nullptr;
+  VKERN_LIST_FOR_EACH(node, &sb->s_root->d_subdirs) {
+    auto* child = VKERN_CONTAINER_OF(node, vkern::dentry, d_child);
+    vkern::inode* child_ino = child->d_inode;
+    if (root == nullptr && child_ino != nullptr && child_ino->i_sb == sb && far(child) &&
+        far(child + 1) && far(child_ino) && far(child_ino + 1)) {
+      root = child;
+    }
+  }
+  ASSERT_NE(root, nullptr) << "no ext4 file sits two pages from its super_block";
+  vkern::inode* ino = root->d_inode;
+
+  char program[768];
+  std::snprintf(program, sizeof(program), R"(
+    define Sb as Box<super_block> [ Text<string> s_id ]
+    define Ino as Box<inode> [
+      Text i_ino
+      Link i_sb -> Sb(${@this.i_sb})
+    ]
+    define Den as Box<dentry> [
+      Text<string> d_name
+      Link d_inode -> Ino(${@this.d_inode})
+    ]
+    %s
+    plot Den(${(dentry*)0x%llx})
+  )",
+                recursive ? "define Stray as Box<dentry> { :nowhere => :stray [ Text d_count ] }"
+                          : "",
+                static_cast<unsigned long long>(reinterpret_cast<uint64_t>(root)));
+  KernelDebugger debugger(kernel, LatencyModel::Free(), CacheConfig::Incremental());
+  viewcl::Interpreter interp(&debugger);
+  ASSERT_TRUE(interp.Load(program).ok());
+  ASSERT_TRUE(interp.Run().ok());
+  EXPECT_EQ(interp.walk_stats().memo_misses, 3u);
+  if (recapture) {
+    ino->i_ino++;
+    kernel->BumpGeneration();
+    interp.ResetWalkStats();
+    ASSERT_TRUE(interp.Run().ok());
+    EXPECT_EQ(interp.walk_stats().memo_misses, 2u);
+    EXPECT_EQ(interp.walk_stats().memo_replays, 1u);  // the super_block
+  }
+
+  const uint64_t before_write = debugger.session().SyncEpoch();
+  sb->s_id[0] = 'X';
+  kernel->BumpGeneration();
+  debugger.session().SyncEpoch();
+  ASSERT_TRUE(debugger.session().RangeCleanSince(reinterpret_cast<uint64_t>(root),
+                                                 sizeof(*root), before_write));
+  ASSERT_TRUE(debugger.session().RangeCleanSince(reinterpret_cast<uint64_t>(ino),
+                                                 sizeof(*ino), before_write));
+  interp.ResetWalkStats();
+  auto graph = interp.Run();
+  ASSERT_TRUE(graph.ok());
+  EXPECT_EQ(interp.walk_stats().runs, recursive ? 0u : 1u);
+  EXPECT_EQ(interp.walk_stats().memo_replays, 0u);
+  EXPECT_EQ(interp.walk_stats().memo_misses, 3u);
+
+  KernelDebugger cold(kernel, LatencyModel::Free(), CacheConfig::Disabled());
+  viewcl::Interpreter cold_interp(&cold);
+  auto cold_graph = cold_interp.RunProgram(program);
+  ASSERT_TRUE(cold_graph.ok());
+  vision::AsciiRenderer renderer;
+  const std::string render = renderer.Render(**graph);
+  EXPECT_EQ(render, renderer.Render(**cold_graph));
+  EXPECT_NE(render.find("Xda1"), std::string::npos) << render;
+}
+
+TEST_F(IncrementalKernelTest, RootMemoCoversAGrandchildWalkerTask) {
+  ExpectRootMemoCoversGrandchild(kernel_.get(), /*recapture=*/false, /*recursive=*/false);
+}
+
+TEST_F(IncrementalKernelTest, RootMemoCoversAGrandchildReplayedInsideARecapturedParent) {
+  ExpectRootMemoCoversGrandchild(kernel_.get(), /*recapture=*/true, /*recursive=*/false);
+}
+
+TEST_F(IncrementalKernelTest, RootMemoCoversAGrandchildOnTheRecursiveWalk) {
+  ExpectRootMemoCoversGrandchild(kernel_.get(), /*recapture=*/false, /*recursive=*/true);
 }
 
 // Epoch skew: multiple mutation epochs between refreshes (a pane left unre-

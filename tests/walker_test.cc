@@ -300,6 +300,26 @@ TEST_F(WalkerTest, TinyCacheFallsBackToTheRecursiveWalk) {
   EXPECT_EQ(interp.walk_stats().fallbacks, 1u);
 }
 
+// With memos on, the recursive fallback runs inside the batched run and each
+// installs its own page log: both give back the log they replaced, so no
+// pointer into a finished run stays with the session.
+TEST_F(WalkerTest, FallbackWithMemosLeavesNoPageLog) {
+  const vision::FigureDef* figure = vision::FindFigure("fig8_4");
+  ASSERT_NE(figure, nullptr);
+  Rendered raw = Render(figure->viewcl, dbg::CacheConfig::Disabled());
+  dbg::CacheConfig tiny{256, 4};
+  tiny.delta_invalidation = true;
+  auto debugger = MakeDebugger(tiny);
+  Interpreter interp(debugger.get());
+  for (int run = 0; run < 2; ++run) {
+    auto graph = run == 0 ? interp.RunProgram(figure->viewcl) : interp.Run();
+    ASSERT_TRUE(graph.ok());
+    EXPECT_EQ(raw.render, vision::AsciiRenderer().Render(**graph)) << run;
+    EXPECT_EQ(debugger->session().set_page_log(nullptr), nullptr) << run;
+  }
+  EXPECT_GE(interp.walk_stats().fallbacks, 1u);
+}
+
 // Each ${...} is parsed once per interpreter, failed parses included: a
 // malformed expression warns with the text EvalCExpression gives, on every
 // run, and the same on both paths.
